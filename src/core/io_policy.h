@@ -106,8 +106,6 @@ struct TierState {
   double bb_queued_gb = 0.0;
   /// Drain reservation active right now (GB/s).
   double drain_gbps = 0.0;
-  /// Occupancy above the configured watermark.
-  bool bb_congested = false;
   /// The buffer is down (absorbing nothing) — fault injection.
   bool bb_faulted = false;
   /// Drain-rate multiplier from fault injection (1.0 = nominal; below 1 the
@@ -286,6 +284,12 @@ class IoPolicy {
   /// ignores it, so observability stays optional for policy authors.
   virtual void BindObs(obs::Hub* hub) { (void)hub; }
 
+  /// Point the policy at the scheduler-owned cycle inputs outside a cycle.
+  /// The scheduler calls it after a checkpoint restore, so reads between
+  /// cycles (DeferFlush runs from SubmitRequest) see the restored snapshot
+  /// rather than the all-default one. Policies that latch nothing ignore it.
+  virtual void BindInputs(const CycleInputs* inputs) { (void)inputs; }
+
   /// Should `flush` stay parked? Queried when a checkpoint flush becomes
   /// ready for the direct path and again every scheduling cycle while it
   /// waits; the scheduler releases it as soon as this returns false (and
@@ -333,6 +337,8 @@ class GreedyAdapter : public IoPolicy {
     inputs_ = ctx.inputs;
     return Assign(ctx.active, ctx.max_bandwidth_gbps, ctx.now);
   }
+
+  void BindInputs(const CycleInputs* inputs) override { inputs_ = inputs; }
 
   /// The classic single-phase decision: produce a grant for *every* view in
   /// `active` (suspended jobs get 0), FCFS-ordered input, deterministic.

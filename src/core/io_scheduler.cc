@@ -531,7 +531,6 @@ void IoScheduler::RefreshCycleInputs(sim::SimTime now) {
     tiers.bb_capacity_gb = burst_buffer_->config().capacity_gb;
     tiers.bb_queued_gb = burst_buffer_->queued_gb();
     tiers.drain_gbps = burst_buffer_->CurrentDrainRate();
-    tiers.bb_congested = burst_buffer_->Congested();
     tiers.bb_faulted = burst_buffer_->faulted();
     tiers.drain_factor = burst_buffer_->drain_factor();
   }
@@ -913,6 +912,19 @@ void IoScheduler::SaveState(ckpt::Writer& w) const {
   w.U64(transfer_retries_);
   w.U64(straggler_spills_);
   w.U64(reflushed_requests_);
+  // The cycle-input snapshot outlives its cycle: policies read it between
+  // cycles (ADAPTIVE's DeferFlush runs from SubmitRequest), so a resume
+  // must see the same tiers and flush backlog. The prediction snapshot is
+  // only read inside cycles, which rebuild it first.
+  const TierState& tiers = cycle_inputs_.tiers;
+  w.Bool(tiers.bb_enabled);
+  w.F64(tiers.bb_capacity_gb);
+  w.F64(tiers.bb_queued_gb);
+  w.F64(tiers.drain_gbps);
+  w.Bool(tiers.bb_faulted);
+  w.F64(tiers.drain_factor);
+  w.F64(cycle_inputs_.flush_backlog_gb);
+  w.U64(cycle_inputs_.flush_backlog_count);
   // Prediction state (appended so the layout above is unchanged, and only
   // when prediction is on, so prediction-off checkpoints stay byte-stable):
   // the per-job burst-ETA anchors plus, in learned mode, the predictor's
@@ -1056,6 +1068,16 @@ void IoScheduler::RestoreState(
   transfer_retries_ = r.U64();
   straggler_spills_ = r.U64();
   reflushed_requests_ = r.U64();
+  TierState& tiers = cycle_inputs_.tiers;
+  tiers.bb_enabled = r.Bool();
+  tiers.bb_capacity_gb = r.F64();
+  tiers.bb_queued_gb = r.F64();
+  tiers.drain_gbps = r.F64();
+  tiers.bb_faulted = r.Bool();
+  tiers.drain_factor = r.F64();
+  cycle_inputs_.flush_backlog_gb = r.F64();
+  cycle_inputs_.flush_backlog_count = static_cast<std::size_t>(r.U64());
+  policy_->BindInputs(&cycle_inputs_);
   if (r.Bool()) {
     std::vector<workload::JobId> sorted;
     jobs_.SortedIds(sorted);

@@ -111,7 +111,8 @@ class Engine {
         storage_(backend_->model()),
         batch_(machine_, config.batch),
         utilization_(config.machine.total_nodes()),
-        bandwidth_tracker_(config.storage.max_bandwidth_gbps),
+        bandwidth_tracker_(config.storage.max_bandwidth_gbps,
+                           config.keep_bandwidth_samples),
         io_scheduler_(simulator_, *backend_,
                       config.machine.node_bandwidth_gbps,
                       MakePolicy(config.policy),
@@ -257,9 +258,7 @@ class Engine {
         metrics::Summarize(result.records, utilization_,
                            config_.warmup_fraction, config_.cooldown_fraction);
     result.bandwidth = bandwidth_tracker_.Summarize();
-    if (config_.keep_bandwidth_samples) {
-      result.bandwidth_samples = bandwidth_tracker_.samples();
-    }
+    result.bandwidth_samples = bandwidth_tracker_.TakeSamples();
     if (burst_buffer_ != nullptr) {
       // Close the occupancy integral at the end of the run (all drains have
       // completed by now, so this only accrues the final idle stretch).
@@ -651,22 +650,30 @@ class Engine {
     for (auto& [id, state] : running_) SettleJobMarkers(state, drained);
   }
 
+  /// The record fields the workload alone determines. The checkpoint
+  /// leaves them out of finished-job records and rebuilds them on restore
+  /// from the same job (the config hash pins the workload).
+  metrics::JobRecord StaticRecord(const workload::Job& job) const {
+    metrics::JobRecord record;
+    record.id = job.id;
+    record.requested_nodes = job.nodes;
+    record.submit_time = job.submit_time;
+    record.uncongested_runtime =
+        job.UncongestedRuntime(config_.machine.node_bandwidth_gbps);
+    record.requested_walltime = job.requested_walltime;
+    record.io_time_uncongested =
+        job.UncongestedIoSeconds(config_.machine.node_bandwidth_gbps);
+    record.io_phase_count = job.IoPhaseCount();
+    return record;
+  }
+
   metrics::JobRecord MakeRecord(const ExecState& state, sim::SimTime now,
                                 bool killed) const {
-    metrics::JobRecord record;
-    record.id = state.job->id;
-    record.requested_nodes = state.job->nodes;
+    metrics::JobRecord record = StaticRecord(*state.job);
     record.allocated_nodes = state.partition.nodes;
-    record.submit_time = state.job->submit_time;
     record.start_time = state.start_time;
     record.end_time = now;
-    record.uncongested_runtime =
-        state.job->UncongestedRuntime(config_.machine.node_bandwidth_gbps);
-    record.requested_walltime = state.job->requested_walltime;
     record.io_time_actual = state.io_time_actual;
-    record.io_time_uncongested =
-        state.job->UncongestedIoSeconds(config_.machine.node_bandwidth_gbps);
-    record.io_phase_count = state.job->IoPhaseCount();
     record.killed = killed;
     record.flush_count = state.flush_count;
     return record;
@@ -899,6 +906,11 @@ class Engine {
       bandwidth_tracker_.SaveState(w);
       file.AddSection("bandwidth", w.TakeBuffer());
     }
+    if (bandwidth_tracker_.keeps_samples()) {
+      ckpt::Writer w;
+      bandwidth_tracker_.SaveSamples(w);
+      file.AddSection("bandwidth_samples", w.TakeBuffer());
+    }
     if (event_log_ != nullptr) {
       ckpt::Writer w;
       event_log_->SaveState(w);
@@ -961,20 +973,15 @@ class Engine {
       w.F64(rc.rework_seconds);
     }
     // Finished-job records, in completion order (sorted by id only at the
-    // end of Run, so the order must be preserved across a resume).
+    // end of Run, so the order must be preserved across a resume). Only the
+    // run-dependent fields: restore rebuilds the rest with StaticRecord.
     w.U32(static_cast<std::uint32_t>(records_.size()));
     for (const metrics::JobRecord& r : records_) {
       w.I64(r.id);
-      w.I64(r.requested_nodes);
       w.I64(r.allocated_nodes);
-      w.F64(r.submit_time);
       w.F64(r.start_time);
       w.F64(r.end_time);
-      w.F64(r.uncongested_runtime);
-      w.F64(r.requested_walltime);
       w.F64(r.io_time_actual);
-      w.F64(r.io_time_uncongested);
-      w.I64(r.io_phase_count);
       w.Bool(r.killed);
       w.I64(r.attempts);
       w.Bool(r.abandoned);
@@ -1073,18 +1080,11 @@ class Engine {
     n = r.U32();
     records_.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
-      metrics::JobRecord rec;
-      rec.id = r.I64();
-      rec.requested_nodes = static_cast<int>(r.I64());
+      metrics::JobRecord rec = StaticRecord(*must_resolve(r.I64()));
       rec.allocated_nodes = static_cast<int>(r.I64());
-      rec.submit_time = r.F64();
       rec.start_time = r.F64();
       rec.end_time = r.F64();
-      rec.uncongested_runtime = r.F64();
-      rec.requested_walltime = r.F64();
       rec.io_time_actual = r.F64();
-      rec.io_time_uncongested = r.F64();
-      rec.io_phase_count = static_cast<int>(r.I64());
       rec.killed = r.Bool();
       rec.attempts = static_cast<int>(r.I64());
       rec.abandoned = r.Bool();
@@ -1150,6 +1150,16 @@ class Engine {
       throw ckpt::ConfigMismatchError(
           "checkpoint " + context + ": fault-injection presence mismatch");
     }
+    // keep_bandwidth_samples is report-only (outside the config hash), so a
+    // file saved without the series can meet a run that wants it. Resuming
+    // would return a series missing everything before the checkpoint.
+    if (bandwidth_tracker_.keeps_samples() &&
+        !file.HasSection("bandwidth_samples")) {
+      throw ckpt::ConfigMismatchError(
+          "checkpoint " + context +
+          ": keep_bandwidth_samples is set but the file was saved without "
+          "the bandwidth_samples section");
+    }
     {
       ckpt::Reader r(file.Section("sim"), "sim");
       sim::SimTime now = r.F64();
@@ -1206,6 +1216,11 @@ class Engine {
     {
       ckpt::Reader r(file.Section("bandwidth"), "bandwidth");
       bandwidth_tracker_.RestoreState(r);
+      r.ExpectEnd();
+    }
+    if (bandwidth_tracker_.keeps_samples()) {
+      ckpt::Reader r(file.Section("bandwidth_samples"), "bandwidth_samples");
+      bandwidth_tracker_.RestoreSamples(r);
       r.ExpectEnd();
     }
     if (event_log_ != nullptr && file.HasSection("event_log")) {
@@ -1568,6 +1583,7 @@ std::uint64_t SimulationConfigHash(const SimulationConfig& config,
   h = FnvMix(h, fp.drain_window_seconds);
   h = FnvMix(h, fp.straggler_probability);
   h = FnvMix(h, fp.straggler_factor);
+  h = FnvMix(h, fp.job_mtbf_seconds);
   const faults::FaultPlan& plan = config.faults.explicit_plan;
   h = FnvMix(h, static_cast<std::uint64_t>(plan.degradations.size()));
   for (const faults::StorageDegradation& d : plan.degradations) {
@@ -1598,6 +1614,8 @@ std::uint64_t SimulationConfigHash(const SimulationConfig& config,
   h = FnvMix(h, plan.straggler_probability);
   h = FnvMix(h, plan.straggler_factor);
   h = FnvMix(h, plan.straggler_seed);
+  h = FnvMix(h, plan.job_mtbf_seconds);
+  h = FnvMix(h, plan.mtbf_seed);
   h = FnvMix(h, static_cast<std::uint64_t>(config.faults.restart_mode));
   // Observability: sampler ticks consume event ids, so sampling must match.
   h = FnvMix(h, static_cast<std::uint64_t>(config.obs.enabled));

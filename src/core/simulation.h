@@ -96,10 +96,16 @@ struct SimulationConfig {
   /// Stable-window fractions for utilization reporting.
   double warmup_fraction = 0.05;
   double cooldown_fraction = 0.05;
-  /// Record per-cycle storage demand/grant samples (cheap; on by default).
+  /// Summarize per-cycle storage demand/grant into the result's
+  /// BandwidthSummary (a streaming accumulator of fixed size; on by
+  /// default).
   bool track_bandwidth = true;
-  /// Also copy the raw per-cycle samples into the result (for timeline
-  /// rendering); off by default to keep results small.
+  /// Also keep the raw per-cycle series and return it in the result (for
+  /// timeline rendering). Off by default: the series grows with every cycle
+  /// (40 B each, ~3.8M cycles in a year), and checkpoints then carry it in
+  /// a `bandwidth_samples` section. Report-only, so outside the config
+  /// hash; resuming with it set from a file saved without it throws
+  /// ckpt::ConfigMismatchError rather than return a truncated series.
   bool keep_bandwidth_samples = false;
   /// Kill jobs at their requested walltime, as the production Cobalt does.
   /// Off by default: the paper lets congestion-stretched jobs run out, and

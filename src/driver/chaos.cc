@@ -1,11 +1,14 @@
 #include "driver/chaos.h"
 
+#include <cstdlib>
 #include <exception>
+#include <filesystem>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
+#include "ckpt/checkpoint.h"
 #include "core/invariants.h"
 #include "core/policy_factory.h"
 #include "core/simulation.h"
@@ -13,6 +16,7 @@
 #include "driver/watchdog.h"
 #include "metrics/digest.h"
 #include "util/rng.h"
+#include "util/units.h"
 #include "workload/app_checkpoint.h"
 
 namespace iosched::driver {
@@ -21,6 +25,11 @@ namespace {
 /// RNG stream for chaos-schedule randomization (17/23/29/31/37 are taken by
 /// the engine; see util::Rng usage notes in the respective subsystems).
 constexpr std::uint64_t kChaosStream = 41;
+/// Separate stream for picking the checkpoint a cell resumes from, so the
+/// pick never shifts the fault-schedule draws above.
+constexpr std::uint64_t kChaosResumeStream = 43;
+/// Checkpoints the saving run takes across the submission window.
+constexpr double kChaosCheckpointsPerRun = 6.0;
 
 /// Draw one randomized fault schedule for seed `seed`. Every knob the fault
 /// model exposes is exercised somewhere across the soak: storage
@@ -110,12 +119,15 @@ struct CellRun {
 };
 
 /// Execute one cell run under an optional watchdog, translating every
-/// failure mode into an error string instead of propagating.
+/// failure mode into an error string instead of propagating. `checkpoint`
+/// turns on saving or resuming.
 CellRun ExecuteOnce(const Scenario& scenario, const std::string& policy,
-                    const ChaosOptions& options) {
+                    const ChaosOptions& options,
+                    const ckpt::Options& checkpoint = {}) {
   CellRun run;
   core::SimulationConfig config = scenario.config;
   config.policy = policy;
+  config.checkpoint = checkpoint;
   core::RunControl control;
   config.control = &control;
   try {
@@ -138,6 +150,60 @@ CellRun ExecuteOnce(const Scenario& scenario, const std::string& policy,
     run.error = std::string("engine error: ") + e.what();
   }
   return run;
+}
+
+/// A fresh private directory for one cell's checkpoints; removed on scope
+/// exit.
+class ScratchDir {
+ public:
+  ScratchDir() {
+    std::string pattern =
+        (std::filesystem::temp_directory_path() / "iosched-chaos-XXXXXX")
+            .string();
+    if (mkdtemp(pattern.data()) == nullptr) {
+      throw std::runtime_error("RunChaos: cannot create a checkpoint "
+                               "directory under " + pattern);
+    }
+    path_ = pattern;
+  }
+  ~ScratchDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+/// Resume `first`'s run from one of the checkpoints it saved in `dir`,
+/// picked by the cell's seed, and require the same record digest and
+/// bandwidth summary. Records the pick in `cell` and returns "" or the
+/// failure.
+std::string CheckResume(const Scenario& scenario, const ChaosOptions& options,
+                        const CellRun& first, const std::string& dir,
+                        ChaosCell& cell) {
+  auto checkpoints = ckpt::ListCheckpoints(dir);
+  if (checkpoints.empty()) return "";
+  util::Rng rng(cell.seed, kChaosResumeStream);
+  const auto& [sequence, path] = checkpoints[static_cast<std::size_t>(
+      rng.UniformInt(0, static_cast<std::int64_t>(checkpoints.size()) - 1))];
+  cell.resume_checkpoint = sequence;
+  ckpt::Options resume;
+  resume.resume_from = path;
+  CellRun resumed = ExecuteOnce(scenario, cell.policy, options, resume);
+  std::string where = "resume from checkpoint " + std::to_string(sequence);
+  if (!resumed.error.empty()) return where + " failed: " + resumed.error;
+  if (resumed.digest != first.digest) {
+    return where + ": record digest differs";
+  }
+  if (metrics::DigestBandwidth(resumed.result.bandwidth) !=
+      metrics::DigestBandwidth(first.result.bandwidth)) {
+    return where + ": bandwidth summary differs";
+  }
+  return "";
 }
 
 }  // namespace
@@ -163,7 +229,20 @@ ChaosSummary RunChaos(const ChaosOptions& options) {
       cell.schedule = s;
       cell.seed = seed;
       cell.policy = policy;
-      CellRun first = ExecuteOnce(scenario, policy, options);
+      // The first run saves checkpoints when reproducibility is verified;
+      // the from-scratch re-run below then also proves saving left the
+      // schedule alone.
+      std::unique_ptr<ScratchDir> dir;
+      ckpt::Options saving;
+      if (options.verify_reproducible) {
+        dir = std::make_unique<ScratchDir>();
+        saving.directory = dir->path();
+        saving.every_sim_seconds = options.duration_days *
+                                   util::kSecondsPerDay /
+                                   kChaosCheckpointsPerRun;
+        saving.keep_last = 0;
+      }
+      CellRun first = ExecuteOnce(scenario, policy, options, saving);
       cell.error = first.error;
       if (first.error.empty()) {
         cell.digest = first.digest;
@@ -184,6 +263,9 @@ ChaosSummary RunChaos(const ChaosOptions& options) {
             cell.error = "re-run failed: " + second.error;
           } else if (second.digest != first.digest) {
             cell.reproducible = false;
+          } else {
+            cell.error = CheckResume(scenario, options, first, dir->path(),
+                                     cell);
           }
         }
       }
@@ -199,7 +281,7 @@ std::string ChaosCsv(const ChaosSummary& summary) {
   out << "schedule,seed,policy,ok,digest,jobs,events,invariant_checks,"
          "fault_kills,transfer_timeouts,transfer_retries,straggler_spills,"
          "bb_reflushed_requests,flushes,flush_deferrals,"
-         "forced_flush_releases,reproducible,error\n";
+         "forced_flush_releases,reproducible,resume_checkpoint,error\n";
   for (const ChaosCell& cell : summary.cells) {
     std::string error = cell.error;
     for (char& c : error) {
@@ -213,7 +295,8 @@ std::string ChaosCsv(const ChaosSummary& summary) {
         << cell.straggler_spills << ',' << cell.bb_reflushed_requests << ','
         << cell.flushes << ',' << cell.flush_deferrals << ','
         << cell.forced_flush_releases << ','
-        << (cell.reproducible ? 1 : 0) << ',' << error << '\n';
+        << (cell.reproducible ? 1 : 0) << ',' << cell.resume_checkpoint
+        << ',' << error << '\n';
   }
   return out.str();
 }

@@ -8,7 +8,8 @@
 // checking enabled and transfer timeouts armed. A cell fails on any
 // invariant violation, engine error, watchdog abort (stuck run), or — when
 // reproducibility verification is on — a same-seed re-run whose per-job
-// record digest differs. The soak is the robustness gate: tools/
+// record digest differs, or a resume from one of the run's own checkpoints
+// (picked by the seed) whose record digest or bandwidth summary differs. The soak is the robustness gate: tools/
 // chaos_soak.sh and the CI chaos job both funnel through RunChaos.
 #pragma once
 
@@ -29,7 +30,8 @@ struct ChaosOptions {
   /// Policies to exercise; empty = every registered policy.
   std::vector<std::string> policies;
   /// Re-run each cell with the same seed and require a bit-identical
-  /// record digest.
+  /// record digest. Also save checkpoints in the first run and resume from
+  /// one of them, requiring the same digest and bandwidth summary.
   bool verify_reproducible = true;
   /// Invariant sweep cadence (processed events).
   std::uint64_t invariant_check_every_events = 64;
@@ -59,6 +61,9 @@ struct ChaosCell {
   std::uint64_t forced_flush_releases = 0;
   /// False when the same-seed re-run produced a different digest.
   bool reproducible = true;
+  /// Sequence number of the checkpoint the resume check restored (0 = no
+  /// resume check ran).
+  std::uint64_t resume_checkpoint = 0;
   /// Empty = cell passed; otherwise the violation/abort/error description.
   std::string error;
 

@@ -45,6 +45,48 @@ std::uint64_t DigestRecords(const JobRecords& records) {
   return h;
 }
 
+std::uint64_t DigestBandwidth(const BandwidthSummary& s) {
+  std::uint64_t h = kFnvOffset;
+  h = FnvMix(h, s.time_span);
+  h = FnvMix(h, s.congested_fraction);
+  h = FnvMix(h, static_cast<std::uint64_t>(s.episode_count));
+  h = FnvMix(h, s.mean_episode_seconds);
+  h = FnvMix(h, s.max_episode_seconds);
+  h = FnvMix(h, s.mean_demand_gbps);
+  h = FnvMix(h, s.mean_granted_gbps);
+  h = FnvMix(h, s.mean_wasted_gbps);
+  return h;
+}
+
+std::uint64_t DigestReport(const Report& r) {
+  std::uint64_t h = kFnvOffset;
+  h = FnvMix(h, static_cast<std::uint64_t>(r.job_count));
+  h = FnvMix(h, r.avg_wait_seconds);
+  h = FnvMix(h, r.avg_response_seconds);
+  h = FnvMix(h, r.utilization);
+  h = FnvMix(h, r.p90_wait_seconds);
+  h = FnvMix(h, r.p90_response_seconds);
+  h = FnvMix(h, r.max_wait_seconds);
+  h = FnvMix(h, r.avg_bounded_slowdown);
+  h = FnvMix(h, r.avg_runtime_seconds);
+  h = FnvMix(h, r.avg_runtime_expansion);
+  h = FnvMix(h, r.avg_io_slowdown);
+  h = FnvMix(h, r.makespan_seconds);
+  h = FnvMix(h, r.total_io_gb);
+  h = FnvMix(h, static_cast<std::uint64_t>(r.requeued_job_count));
+  h = FnvMix(h, static_cast<std::uint64_t>(r.abandoned_job_count));
+  h = FnvMix(h, r.total_attempts);
+  h = FnvMix(h, r.lost_node_seconds);
+  h = FnvMix(h, r.avg_wait_clean_seconds);
+  h = FnvMix(h, r.avg_wait_requeued_seconds);
+  h = FnvMix(h, r.avg_response_requeued_seconds);
+  h = FnvMix(h, r.total_flushes);
+  h = FnvMix(h, r.rework_node_seconds);
+  h = FnvMix(h, r.rework_ratio);
+  h = FnvMix(h, r.goodput);
+  return h;
+}
+
 std::string HexDigest(std::uint64_t digest) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "0x%016llx",

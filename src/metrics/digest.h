@@ -8,7 +8,9 @@
 #include <cstdint>
 #include <string>
 
+#include "metrics/bandwidth.h"
 #include "metrics/job_record.h"
+#include "metrics/report.h"
 
 namespace iosched::metrics {
 
@@ -23,6 +25,12 @@ std::uint64_t FnvMix(std::uint64_t hash, double value);
 /// Digest over every field of every record. Records are sorted by id by
 /// RunSimulation, so the digest is replay-order stable.
 std::uint64_t DigestRecords(const JobRecords& records);
+
+/// Bit-exact digests over every field of a run's aggregate outputs: equal
+/// digests mean byte-identical summaries (the resume-equivalence bar
+/// extends to them, not only to the records).
+std::uint64_t DigestBandwidth(const BandwidthSummary& summary);
+std::uint64_t DigestReport(const Report& report);
 
 /// "0x"-prefixed 16-digit hex rendering, for logs and JSON.
 std::string HexDigest(std::uint64_t digest);

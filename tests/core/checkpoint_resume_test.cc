@@ -1,9 +1,10 @@
 // Resume-equivalence: the correctness bar of the checkpoint subsystem. A
-// run restored from ANY checkpoint must produce per-job records
-// bit-identical (FNV-1a digest equality) to the uninterrupted run — for
-// every policy family and with fault injection on or off. Also covers the
-// failure modes: config mismatch, corrupted checkpoints, and the
-// abort/emergency-checkpoint path used by the watchdog.
+// run restored from ANY checkpoint must produce per-job records, bandwidth
+// summary and report bit-identical (FNV-1a digest equality) to the
+// uninterrupted run — for every policy family and with fault injection on
+// or off. Also covers the failure modes: config mismatch, corrupted
+// checkpoints, a missing bandwidth series, and the abort/emergency-
+// checkpoint path used by the watchdog.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -16,6 +17,7 @@
 #include "core/simulation.h"
 #include "driver/scenario.h"
 #include "metrics/digest.h"
+#include "workload/app_checkpoint.h"
 
 namespace iosched {
 namespace {
@@ -37,6 +39,12 @@ struct Case {
   /// degradations, transfer stragglers with timeout/retry armed. Implies
   /// burst_buffer.
   bool bb_faults = false;
+  /// Application checkpoint traffic: Young/Daly flush phases, the MTBF
+  /// failure process, restart from the last durable flush, and deferrable
+  /// flushes. With ADAPTIVE and a burst buffer, flushes submitted between
+  /// grant cycles are parked on the previous cycle's tier snapshot, which
+  /// must therefore survive the round trip.
+  bool app_ckpt = false;
   /// Prediction mode (nullptr = subsystem off). "learned" makes the
   /// predictor's EWMA tables part of the resume-equivalence bar: dropping
   /// them on resume would change post-resume grants and diverge the digest.
@@ -46,6 +54,7 @@ struct Case {
 std::string CaseSlug(const Case& c) {
   return std::string(c.policy) + (c.faults ? "_faulted" : "_clean") +
          (c.burst_buffer ? "_bb" : "") + (c.bb_faults ? "_bbfaults" : "") +
+         (c.app_ckpt ? "_appckpt" : "") +
          (c.predict != nullptr ? std::string("_pred_") + c.predict : "");
 }
 
@@ -110,6 +119,22 @@ std::pair<core::SimulationConfig, workload::Workload> BuildCase(
     config.prediction.mode = c.predict;
     config.prediction.min_support = 2;  // thin-evidence blending mid-run
   }
+  if (c.app_ckpt) {
+    workload::AppCheckpointConfig ac;
+    ac.enabled = true;
+    ac.mtbf_seconds = 1800.0;
+    ac.min_interval_seconds = 60.0;
+    ac.min_compute_seconds = 120.0;
+    ac.seed = 7;
+    workload::ApplyCheckpointTraffic(scenario.jobs, ac,
+                                     config.machine.node_bandwidth_gbps);
+    config.app_checkpoint.enabled = true;
+    config.app_checkpoint.max_defer_seconds = 300.0;
+    config.faults.plan_config.enabled = true;
+    config.faults.plan_config.seed = 5;
+    config.faults.plan_config.job_mtbf_seconds = 1800.0;
+    config.faults.restart_mode = faults::RestartMode::kRestartFromAppCheckpoint;
+  }
   return {config, std::move(scenario.jobs)};
 }
 
@@ -117,8 +142,11 @@ class CheckpointResumeTest : public testing::TestWithParam<Case> {};
 
 TEST_P(CheckpointResumeTest, EveryCheckpointResumesToIdenticalRecords) {
   auto [config, jobs] = BuildCase(GetParam());
-  std::uint64_t reference =
-      metrics::DigestRecords(core::RunSimulation(config, jobs).records);
+  core::SimulationResult uninterrupted = core::RunSimulation(config, jobs);
+  std::uint64_t reference = metrics::DigestRecords(uninterrupted.records);
+  std::uint64_t reference_bandwidth =
+      metrics::DigestBandwidth(uninterrupted.bandwidth);
+  std::uint64_t reference_report = metrics::DigestReport(uninterrupted.report);
 
   // Pass 1: the checkpointing run itself must not perturb the schedule.
   // The directory must be unique per case — ctest runs the parameterized
@@ -131,6 +159,8 @@ TEST_P(CheckpointResumeTest, EveryCheckpointResumesToIdenticalRecords) {
   saving.checkpoint.keep_last = 0;  // keep every snapshot
   core::SimulationResult checkpointed = core::RunSimulation(saving, jobs);
   EXPECT_EQ(metrics::DigestRecords(checkpointed.records), reference);
+  EXPECT_EQ(metrics::DigestBandwidth(checkpointed.bandwidth),
+            reference_bandwidth);
   ASSERT_GT(checkpointed.checkpoints_written, 0u);
 
   // Pass 2: resuming from EACH snapshot reproduces the reference exactly.
@@ -142,6 +172,10 @@ TEST_P(CheckpointResumeTest, EveryCheckpointResumesToIdenticalRecords) {
     core::SimulationResult resumed = core::RunSimulation(resume, jobs);
     EXPECT_EQ(metrics::DigestRecords(resumed.records), reference)
         << "divergence after resuming from " << path;
+    EXPECT_EQ(metrics::DigestBandwidth(resumed.bandwidth), reference_bandwidth)
+        << "bandwidth summary differs after resuming from " << path;
+    EXPECT_EQ(metrics::DigestReport(resumed.report), reference_report)
+        << "report differs after resuming from " << path;
     EXPECT_EQ(resumed.resumed_from, path);
   }
 }
@@ -158,9 +192,10 @@ INSTANTIATE_TEST_SUITE_P(
                     Case{"ADAPTIVE", true, true},
                     Case{"BASE_LINE", false, true, true},
                     Case{"ADAPTIVE", true, true, true},
-                    Case{"PREDICTIVE", false, false, false, "learned"},
-                    Case{"PREDICTIVE_ADAPTIVE", true, true, false, "learned"},
-                    Case{"PREDICTIVE_ADAPTIVE", false, false, false,
+                    Case{"PREDICTIVE", false, false, false, false, "learned"},
+                    Case{"PREDICTIVE_ADAPTIVE", true, true, false, false,
+                         "learned"},
+                    Case{"PREDICTIVE_ADAPTIVE", false, false, false, false,
                          "oracle"},
                     // Planning family: the every-60-events cadence lands
                     // snapshots mid-window, so rotations, anchors, and
@@ -168,8 +203,13 @@ INSTANTIATE_TEST_SUITE_P(
                     // bit-exactly.
                     Case{"PERIODIC", false}, Case{"PERIODIC", true, true},
                     Case{"PLAN_BF", false},
-                    Case{"PLAN_BF", false, true, false, "oracle"},
-                    Case{"PLAN_BF", true, true, false, "oracle"}),
+                    Case{"PLAN_BF", false, true, false, false, "oracle"},
+                    Case{"PLAN_BF", true, true, false, false, "oracle"},
+                    // ADAPTIVE parks flushes submitted between grant
+                    // cycles on the previous cycle's tier snapshot; drain
+                    // degradations make that snapshot say "defer".
+                    Case{"ADAPTIVE", false, true, true, true},
+                    Case{"ADAPTIVE", true, true, true, true}),
     CaseName);
 
 TEST(CheckpointResume, MismatchedConfigIsRejected) {
@@ -194,6 +234,57 @@ TEST(CheckpointResume, MismatchedConfigIsRejected) {
   same.checkpoint.resume_from = snapshot;
   EXPECT_THROW(core::RunSimulation(same, other_jobs),
                ckpt::ConfigMismatchError);
+}
+
+TEST(CheckpointResume, KeptBandwidthSeriesResumesIdentically) {
+  auto [config, jobs] = BuildCase({"ADAPTIVE", true, true});
+  config.keep_bandwidth_samples = true;
+  core::SimulationResult reference = core::RunSimulation(config, jobs);
+  ASSERT_GT(reference.bandwidth_samples.size(), 2u);
+
+  std::string dir = TestDir("kept_samples");
+  core::SimulationConfig saving = config;
+  saving.checkpoint.directory = dir;
+  saving.checkpoint.every_events = 300;
+  saving.checkpoint.keep_last = 0;
+  core::RunSimulation(saving, jobs);
+  for (const auto& [seq, path] : ckpt::ListCheckpoints(dir)) {
+    core::SimulationConfig resume = config;
+    resume.checkpoint.resume_from = path;
+    core::SimulationResult resumed = core::RunSimulation(resume, jobs);
+    ASSERT_EQ(resumed.bandwidth_samples.size(),
+              reference.bandwidth_samples.size())
+        << path;
+    for (std::size_t i = 0; i < resumed.bandwidth_samples.size(); ++i) {
+      EXPECT_EQ(resumed.bandwidth_samples[i].time,
+                reference.bandwidth_samples[i].time);
+      EXPECT_EQ(resumed.bandwidth_samples[i].demand_gbps,
+                reference.bandwidth_samples[i].demand_gbps);
+    }
+    EXPECT_EQ(metrics::DigestBandwidth(resumed.bandwidth),
+              metrics::DigestBandwidth(reference.bandwidth));
+  }
+}
+
+TEST(CheckpointResume, KeepingSamplesNeedsTheSavedSeries) {
+  auto [config, jobs] = BuildCase({"BASE_LINE", false});
+  std::string dir = TestDir("no_samples");
+  core::SimulationConfig saving = config;  // keep_bandwidth_samples off
+  saving.checkpoint.directory = dir;
+  saving.checkpoint.every_events = 300;
+  core::RunSimulation(saving, jobs);
+  std::string snapshot = ckpt::ListCheckpoints(dir).back().second;
+
+  // The knob is outside the hash, so the file is otherwise acceptable —
+  // but it holds no series to resume, and a truncated one is refused.
+  core::SimulationConfig resume = config;
+  resume.keep_bandwidth_samples = true;
+  resume.checkpoint.resume_from = snapshot;
+  EXPECT_THROW(core::RunSimulation(resume, jobs), ckpt::ConfigMismatchError);
+
+  // Without the knob the same file resumes normally.
+  resume.keep_bandwidth_samples = false;
+  EXPECT_NO_THROW(core::RunSimulation(resume, jobs));
 }
 
 TEST(CheckpointResume, ReportOnlyKnobsDoNotChangeTheHash) {
@@ -232,6 +323,23 @@ TEST(CheckpointResume, ReportOnlyKnobsDoNotChangeTheHash) {
   planner_tweaked.plan.window_seconds = 120.0;
   EXPECT_NE(core::SimulationConfigHash(planner_tweaked, jobs),
             core::SimulationConfigHash(planner, jobs));
+}
+
+TEST(CheckpointResume, MtbfKnobsChangeTheHash) {
+  // The MTBF failure process shapes the schedule: a checkpoint saved under
+  // one MTBF must not resume under another.
+  auto [config, jobs] = BuildCase({"BASE_LINE", true});
+  std::uint64_t base = core::SimulationConfigHash(config, jobs);
+  core::SimulationConfig generated = config;
+  generated.faults.plan_config.job_mtbf_seconds = 3600.0;
+  EXPECT_NE(core::SimulationConfigHash(generated, jobs), base);
+
+  core::SimulationConfig explicit_plan = config;
+  explicit_plan.faults.explicit_plan.job_mtbf_seconds = 3600.0;
+  std::uint64_t with_mtbf = core::SimulationConfigHash(explicit_plan, jobs);
+  EXPECT_NE(with_mtbf, base);
+  explicit_plan.faults.explicit_plan.mtbf_seed = 99;
+  EXPECT_NE(core::SimulationConfigHash(explicit_plan, jobs), with_mtbf);
 }
 
 TEST(CheckpointResume, ResumeLatestStartsFreshWhenDirectoryIsEmpty) {

@@ -34,6 +34,8 @@ TEST(ChaosTest, SmallSoakIsCleanAndCoversEveryCell) {
     EXPECT_GT(cell.events, 0u);
     EXPECT_GT(cell.invariant_checks, 0u);
     EXPECT_NE(cell.digest, 0u);
+    // Every cell also resumed from one of its own checkpoints.
+    EXPECT_GT(cell.resume_checkpoint, 0u) << cell.policy;
   }
 }
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Chaos soak: run N seeded randomized fault schedules under every policy
 # with the from-scratch invariant checker on, and fail on any invariant
-# violation, stuck run, engine error, or non-reproducible same-seed digest.
+# violation, stuck run, engine error, non-reproducible same-seed digest, or
+# a resume from the run's own checkpoint that diverges.
 #
 # Usage: tools/chaos_soak.sh [build-dir] [schedules] [csv-out]
 #   build-dir  defaults to ./build (must contain tools/iosched)
@@ -16,7 +17,7 @@ csv_out="${3:-${build_dir}/chaos_summary.csv}"
 iosched="${build_dir}/tools/iosched"
 [[ -x "${iosched}" ]] || { echo "error: ${iosched} not built" >&2; exit 2; }
 
-echo "== chaos soak: ${schedules} schedules x all policies (x2 for repro)"
+echo "== chaos soak: ${schedules} schedules x all policies (run, re-run, resume)"
 "${iosched}" chaos --chaos-schedules "${schedules}" --chaos-out "${csv_out}"
 
 echo "PASS: chaos soak clean (summary: ${csv_out})"
