@@ -5,7 +5,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "ckpt/serializer.h"
 #include "util/atomic_file.h"
@@ -38,23 +37,49 @@ std::string_view CheckpointFile::Section(std::string_view name) const {
                     "'");
 }
 
-std::string CheckpointFile::Encode() const {
-  Writer w;
-  w.Bytes(kMagic.data(), kMagic.size());
-  w.U32(kFormatVersion);
-  w.U64(config_hash_);
-  w.U32(static_cast<std::uint32_t>(sections_.size()));
+std::vector<std::string_view> CheckpointFile::Layout(
+    std::vector<std::string>& headers) const {
+  headers.clear();
+  headers.reserve(sections_.size() + 1);
+  {
+    Writer w;
+    w.Bytes(kMagic.data(), kMagic.size());
+    w.U32(kFormatVersion);
+    w.U64(config_hash_);
+    w.U32(static_cast<std::uint32_t>(sections_.size()));
+    headers.push_back(w.TakeBuffer());
+  }
   for (const auto& [name, payload] : sections_) {
+    Writer w;
     w.Str(name);
     w.U64(payload.size());
     w.U32(Crc32(payload));
-    w.Bytes(payload.data(), payload.size());
+    headers.push_back(w.TakeBuffer());
   }
-  return w.TakeBuffer();
+  std::vector<std::string_view> pieces;
+  pieces.reserve(2 * sections_.size() + 1);
+  pieces.push_back(headers[0]);
+  for (std::size_t i = 0; i < sections_.size(); ++i) {
+    pieces.push_back(headers[i + 1]);
+    pieces.push_back(sections_[i].second);
+  }
+  return pieces;
+}
+
+std::string CheckpointFile::Encode() const {
+  std::vector<std::string> headers;
+  std::vector<std::string_view> pieces = Layout(headers);
+  std::size_t size = 0;
+  for (std::string_view piece : pieces) size += piece.size();
+  std::string bytes;
+  bytes.reserve(size);
+  for (std::string_view piece : pieces) bytes.append(piece);
+  return bytes;
 }
 
 void CheckpointFile::WriteAtomic(const std::string& path) const {
-  util::WriteFileAtomic(path, Encode());
+  std::vector<std::string> headers;
+  util::WriteFileAtomic(path, Layout(headers));
 }
 
 CheckpointFile CheckpointFile::Decode(std::string_view bytes,
@@ -94,6 +119,10 @@ CheckpointFile CheckpointFile::Decode(std::string_view bytes,
     } catch (const std::runtime_error& e) {
       throw FormatError(e.what());
     }
+    if (file.HasSection(name)) {
+      throw FormatError("checkpoint '" + context + "': duplicate section '" +
+                        name + "'");
+    }
     if (r.Remaining() < size) {
       throw FormatError("checkpoint '" + context + "': section '" + name +
                         "' truncated (declares " + std::to_string(size) +
@@ -116,18 +145,20 @@ CheckpointFile CheckpointFile::Decode(std::string_view bytes,
 }
 
 CheckpointFile CheckpointFile::Load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) {
     int err = errno;
     throw FormatError("checkpoint '" + path +
                       "': cannot open: " + std::strerror(err));
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) {
+  const std::streamoff size = in.tellg();
+  if (size < 0) throw FormatError("checkpoint '" + path + "': read error");
+  std::string bytes(static_cast<std::size_t>(size), '\0');
+  in.seekg(0);
+  if (!in.read(bytes.data(), size)) {
     throw FormatError("checkpoint '" + path + "': read error");
   }
-  return Decode(buffer.str(), path);
+  return Decode(bytes, path);
 }
 
 namespace {

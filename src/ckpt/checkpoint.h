@@ -14,10 +14,13 @@
 //     payload        payload_size bytes
 //
 // Every section's CRC is verified at load time, so a torn or bit-flipped
-// file surfaces as CrcError before any state is restored. Files are
-// published with util::AtomicFileWriter (temp + fsync + rename), so a crash
-// during a save can never leave a half-written checkpoint under the final
-// name — at worst a stale *.tmpXXXXXX sibling.
+// file surfaces as CrcError before any state is restored; section names
+// are unique. Files are published with util::WriteFileAtomic (temp + fsync
+// + rename), so a crash during a save can never leave a half-written
+// checkpoint under the final name — at worst a stale *.tmpXXXXXX sibling.
+// A save writes the headers and section payloads straight to the temp
+// file, and a load reads the file into one buffer of its exact size:
+// neither assembles a second full-size copy of the file.
 #pragma once
 
 #include <cstdint>
@@ -52,7 +55,7 @@ class ConfigMismatchError : public CheckpointError {
 };
 
 inline constexpr std::string_view kMagic = "IOSCKPT1";
-inline constexpr std::uint32_t kFormatVersion = 2;
+inline constexpr std::uint32_t kFormatVersion = 3;
 
 /// In-memory checkpoint: named binary sections plus the config hash.
 /// Built section-by-section on save; fully decoded and CRC-verified on
@@ -70,18 +73,25 @@ class CheckpointFile {
 
   /// Serializes to the on-disk byte layout.
   std::string Encode() const;
-  /// Encode + atomic publish (temp + fsync + rename).
+  /// Atomically publishes the bytes Encode() would return (temp + fsync +
+  /// rename), writing each header and payload in place.
   void WriteAtomic(const std::string& path) const;
 
   /// Parses and CRC-verifies `bytes`. `context` (typically the path) is
-  /// included in error messages. Throws FormatError / VersionError /
-  /// CrcError.
+  /// included in error messages. Throws FormatError (also for a repeated
+  /// section name) / VersionError / CrcError.
   static CheckpointFile Decode(std::string_view bytes,
                                const std::string& context);
   /// Reads the whole file and decodes it.
   static CheckpointFile Load(const std::string& path);
 
  private:
+  /// The on-disk layout as pieces, in file order: the file header, then
+  /// each section's header and payload. Header bytes live in `headers`;
+  /// payload pieces view sections_.
+  std::vector<std::string_view> Layout(
+      std::vector<std::string>& headers) const;
+
   std::uint64_t config_hash_ = 0;
   std::vector<std::pair<std::string, std::string>> sections_;
 };

@@ -1006,14 +1006,14 @@ void IoScheduler::RestoreState(
   if (has_pending_event_) {
     pending_event_ = r.U64();
     pending_event_time_ = r.F64();
-    simulator_.RestoreEvent(pending_event_time_, pending_event_,
-                            [this] { OnCompletionEvent(); });
+    simulator_.ScheduleReserved(pending_event_time_, pending_event_,
+                                [this] { OnCompletionEvent(); });
   }
   has_drain_event_ = r.Bool();
   if (has_drain_event_) {
     drain_event_ = r.U64();
     drain_event_time_ = r.F64();
-    simulator_.RestoreEvent(drain_event_time_, drain_event_, [this] {
+    simulator_.ScheduleReserved(drain_event_time_, drain_event_, [this] {
       has_drain_event_ = false;
       Reschedule(simulator_.Now());
     });
@@ -1034,8 +1034,8 @@ void IoScheduler::RestoreState(
     ab.volume_gb = r.F64();
     ab.durable_gb = r.F64();
     absorbed_events_.emplace(id, ab);
-    simulator_.RestoreEvent(ab.fire_time, ab.event,
-                            AbsorbedAction(id, ab.duration));
+    simulator_.ScheduleReserved(ab.fire_time, ab.event,
+                                AbsorbedAction(id, ab.duration));
   }
   util::Rng::State jitter;
   jitter.engine.state = r.U64();
@@ -1051,7 +1051,7 @@ void IoScheduler::RestoreState(
     dl.fire_time = r.F64();
     dl.retries = static_cast<int>(r.I64());
     deadline_events_.emplace(id, dl);
-    simulator_.RestoreEvent(dl.fire_time, dl.event, DeadlineAction(id));
+    simulator_.ScheduleReserved(dl.fire_time, dl.event, DeadlineAction(id));
   }
   std::uint32_t retries = r.U32();
   for (std::uint32_t i = 0; i < retries; ++i) {
@@ -1062,7 +1062,7 @@ void IoScheduler::RestoreState(
     pr.remaining_gb = r.F64();
     pr.retries = static_cast<int>(r.I64());
     pending_retries_.emplace(id, pr);
-    simulator_.RestoreEvent(pr.fire_time, pr.event, RetryAction(id));
+    simulator_.ScheduleReserved(pr.fire_time, pr.event, RetryAction(id));
   }
   transfer_timeouts_ = r.U64();
   transfer_retries_ = r.U64();
@@ -1104,7 +1104,8 @@ void IoScheduler::RestoreState(
       df.volume_gb = r.F64();
       deferred_flushes_.emplace(id, df);
       deferred_backlog_gb_ += df.volume_gb;
-      simulator_.RestoreEvent(df.fire_time, df.event, FlushReleaseAction(id));
+      simulator_.ScheduleReserved(df.fire_time, df.event,
+                                  FlushReleaseAction(id));
     }
     flush_deferrals_ = r.U64();
     forced_flush_releases_ = r.U64();
@@ -1124,8 +1125,8 @@ void IoScheduler::RestoreState(
     if (has_review_event_) {
       review_event_ = r.U64();
       review_event_time_ = r.F64();
-      simulator_.RestoreEvent(review_event_time_, review_event_,
-                              PlanReviewAction());
+      simulator_.ScheduleReserved(review_event_time_, review_event_,
+                                  PlanReviewAction());
     }
     policy_->RestoreState(r);
   }

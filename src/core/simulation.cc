@@ -4,7 +4,9 @@
 #include <cctype>
 #include <chrono>
 #include <filesystem>
+#include <limits>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <stdexcept>
 #include <unordered_map>
@@ -223,10 +225,13 @@ class Engine {
     }
     if (!restored_) {
       if (checker_.has_value()) checker_->MarkCompleteHistory();
-      for (const workload::Job& job : jobs_) {
-        pending_submits_[job.id] =
-            simulator_.ScheduleAt(job.submit_time, SubmitAction(job));
-      }
+      records_.reserve(jobs_.size());
+      // One id per job, in workload order: the ids an immediate push of
+      // every submit would get, so arming them one at a time below keeps
+      // the (time, id) pop order, and every later id, unchanged.
+      first_arrival_id_ = simulator_.ReserveEventIds(jobs_.size());
+      BuildArrivalOrder();
+      ArmNextArrival();
       if (injector_.has_value()) injector_->Arm();
       if (hub_ != nullptr && hub_->options().sample_dt_seconds > 0) {
         // The engine owns the tick cadence: the first sample lands at t=0
@@ -305,11 +310,35 @@ class Engine {
   // it first, keeping the checkpointed pending sets exactly the
   // not-yet-fired events.
 
-  std::function<void()> SubmitAction(const workload::Job& job) {
-    return [this, &job] {
-      pending_submits_.erase(job.id);
+  /// Fires the armed arrival, arming the one after it first: only the
+  /// next arrival ever sits in the event queue.
+  std::function<void()> ArrivalAction() {
+    return [this] {
+      const workload::Job& job = jobs_[arrival_order_[next_arrival_++]];
+      ArmNextArrival();
       OnSubmit(job);
     };
+  }
+
+  void ArmNextArrival() {
+    if (next_arrival_ == arrival_order_.size()) return;
+    std::uint32_t index = arrival_order_[next_arrival_];
+    simulator_.ScheduleReserved(jobs_[index].submit_time,
+                                first_arrival_id_ + index, ArrivalAction());
+  }
+
+  /// Workload indices in firing order, (submit_time, index): the order the
+  /// queue pops submits pushed in workload order.
+  void BuildArrivalOrder() {
+    if (jobs_.size() > std::numeric_limits<std::uint32_t>::max()) {
+      throw std::invalid_argument("RunSimulation: workload too large");
+    }
+    arrival_order_.resize(jobs_.size());
+    std::iota(arrival_order_.begin(), arrival_order_.end(), 0u);
+    std::stable_sort(arrival_order_.begin(), arrival_order_.end(),
+                     [this](std::uint32_t a, std::uint32_t b) {
+                       return jobs_[a].submit_time < jobs_[b].submit_time;
+                     });
   }
 
   std::function<void()> PassAction(std::uint64_t seq) {
@@ -834,16 +863,25 @@ class Engine {
   const workload::Job* FindJob(workload::JobId id) {
     if (job_index_.empty() && !jobs_.empty()) {
       job_index_.reserve(jobs_.size());
-      for (const workload::Job& job : jobs_) {
-        if (!job_index_.emplace(job.id, &job).second) {
-          throw std::invalid_argument(
-              "checkpoint: workload has duplicate job id " +
-              std::to_string(job.id));
-        }
+      for (std::uint32_t i = 0; i < jobs_.size(); ++i) {
+        job_index_.emplace_back(jobs_[i].id, i);
+      }
+      std::sort(job_index_.begin(), job_index_.end());
+      auto dup = std::adjacent_find(
+          job_index_.begin(), job_index_.end(),
+          [](const auto& a, const auto& b) { return a.first == b.first; });
+      if (dup != job_index_.end()) {
+        throw std::invalid_argument(
+            "checkpoint: workload has duplicate job id " +
+            std::to_string(dup->first));
       }
     }
-    auto it = job_index_.find(id);
-    return it == job_index_.end() ? nullptr : it->second;
+    auto it = std::lower_bound(job_index_.begin(), job_index_.end(), id,
+                               [](const auto& entry, workload::JobId key) {
+                                 return entry.first < key;
+                               });
+    if (it == job_index_.end() || it->first != id) return nullptr;
+    return &jobs_[it->second];
   }
 
   ckpt::CheckpointFile BuildCheckpoint() {
@@ -989,15 +1027,9 @@ class Engine {
       w.I64(r.flush_count);
       w.F64(r.rework_seconds);
     }
-    // Pending submit events (fire time = the job's submit time).
-    ids.clear();
-    for (const auto& [id, event] : pending_submits_) ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
-    w.U32(static_cast<std::uint32_t>(ids.size()));
-    for (workload::JobId id : ids) {
-      w.I64(id);
-      w.U64(pending_submits_.at(id));
-    }
+    // Arrival cursor: the rest of the arrivals follow from the workload.
+    w.U64(first_arrival_id_);
+    w.U64(next_arrival_);
     // Pending backoff scheduling passes (std::map: already sorted).
     w.U32(static_cast<std::uint32_t>(pending_passes_.size()));
     for (const auto& [seq, pass] : pending_passes_) {
@@ -1041,16 +1073,16 @@ class Engine {
       if (s.has_kill_event) {
         s.kill_event = r.U64();
         s.kill_fire_time = r.F64();
-        simulator_.RestoreEvent(s.kill_fire_time, s.kill_event,
-                                KillAction(id));
+        simulator_.ScheduleReserved(s.kill_fire_time, s.kill_event,
+                                    KillAction(id));
       }
       s.has_compute_event = r.Bool();
       if (s.has_compute_event) {
         s.compute_event = r.U64();
         s.compute_fire_time = r.F64();
         s.compute_duration = r.F64();
-        simulator_.RestoreEvent(s.compute_fire_time, s.compute_event,
-                                ComputeAction(id, s.compute_duration));
+        simulator_.ScheduleReserved(s.compute_fire_time, s.compute_event,
+                                    ComputeAction(id, s.compute_duration));
       }
       s.durable_phase = static_cast<std::size_t>(r.U64());
       s.durable_anchor_time = r.F64();
@@ -1078,7 +1110,7 @@ class Engine {
       retry_.emplace(id, rc);
     }
     n = r.U32();
-    records_.reserve(n);
+    records_.reserve(std::max<std::size_t>(n, jobs_.size()));
     for (std::uint32_t i = 0; i < n; ++i) {
       metrics::JobRecord rec = StaticRecord(*must_resolve(r.I64()));
       rec.allocated_nodes = static_cast<int>(r.I64());
@@ -1093,21 +1125,23 @@ class Engine {
       rec.rework_seconds = r.F64();
       records_.push_back(rec);
     }
-    n = r.U32();
-    for (std::uint32_t i = 0; i < n; ++i) {
-      workload::JobId id = r.I64();
-      sim::EventId event = r.U64();
-      const workload::Job* job = must_resolve(id);
-      simulator_.RestoreEvent(job->submit_time, event, SubmitAction(*job));
-      pending_submits_.emplace(id, event);
+    first_arrival_id_ = r.U64();
+    next_arrival_ = r.U64();
+    if (next_arrival_ > jobs_.size()) {
+      throw std::runtime_error(
+          "checkpoint engine: arrival cursor " +
+          std::to_string(next_arrival_) + " is past the workload's " +
+          std::to_string(jobs_.size()) + " jobs");
     }
+    BuildArrivalOrder();
+    ArmNextArrival();
     n = r.U32();
     for (std::uint32_t i = 0; i < n; ++i) {
       std::uint64_t seq = r.U64();
       PendingPass pass;
       pass.event = r.U64();
       pass.fire_time = r.F64();
-      simulator_.RestoreEvent(pass.fire_time, pass.event, PassAction(seq));
+      simulator_.ScheduleReserved(pass.fire_time, pass.event, PassAction(seq));
       pending_passes_.emplace(seq, pass);
     }
     next_pass_seq_ = r.U64();
@@ -1121,8 +1155,8 @@ class Engine {
             "run has no sampler (pass a hub built from the same obs "
             "options)");
       }
-      simulator_.RestoreEvent(sample_event_time_, sample_event_,
-                              SampleAction());
+      simulator_.ScheduleReserved(sample_event_time_, sample_event_,
+                                  SampleAction());
     }
     r.ExpectEnd();
   }
@@ -1269,9 +1303,16 @@ class Engine {
   metrics::JobRecords records_;
   /// Scratch for RecordSample's suspended-transfer count.
   std::vector<const storage::Transfer*> sample_scratch_;
+  // --- Arrival stream ------------------------------------------------------
+  /// Workload indices in firing order (BuildArrivalOrder).
+  std::vector<std::uint32_t> arrival_order_;
+  /// Id reserved for the arrival of workload index 0; index i fires under
+  /// first_arrival_id_ + i.
+  sim::EventId first_arrival_id_ = 0;
+  /// Position in arrival_order_ of the armed, not yet fired arrival
+  /// (== size once every job has arrived).
+  std::size_t next_arrival_ = 0;
   // --- Checkpoint bookkeeping ----------------------------------------------
-  /// Not-yet-fired submit events, keyed by job id.
-  std::unordered_map<workload::JobId, sim::EventId> pending_submits_;
   /// A not-yet-fired backoff scheduling pass (armed by FailJob).
   struct PendingPass {
     sim::EventId event = 0;
@@ -1284,8 +1325,9 @@ class Engine {
   sim::EventId sample_event_ = 0;
   sim::SimTime sample_event_time_ = 0.0;
   bool has_sample_event_ = false;
-  /// Lazily built id → job map (restore + duplicate-id validation).
-  std::unordered_map<workload::JobId, const workload::Job*> job_index_;
+  /// Lazily built (job id, workload index), sorted by id (restore +
+  /// duplicate-id validation).
+  std::vector<std::pair<workload::JobId, std::uint32_t>> job_index_;
   std::optional<std::uint64_t> config_hash_;
   bool restored_ = false;
   std::string resumed_from_;

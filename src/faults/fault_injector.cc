@@ -431,7 +431,7 @@ void FaultInjector::RestoreState(ckpt::Reader& r) {
           "(checkpoint does not match this fault plan)");
     }
     pending_edges_[edge] = event;
-    simulator_.RestoreEvent(EdgeTime(edge), event, EdgeAction(edge));
+    simulator_.ScheduleReserved(EdgeTime(edge), event, EdgeAction(edge));
   }
   std::uint32_t kills = r.U32();
   for (std::uint32_t i = 0; i < kills; ++i) {
@@ -440,7 +440,7 @@ void FaultInjector::RestoreState(ckpt::Reader& r) {
     kill.event = r.U64();
     kill.fire_time = r.F64();
     pending_kills_[id] = kill;
-    simulator_.RestoreEvent(kill.fire_time, kill.event, KillAction(id));
+    simulator_.ScheduleReserved(kill.fire_time, kill.event, KillAction(id));
   }
   util::Rng::State straggler;
   straggler.engine.state = r.U64();
@@ -469,8 +469,8 @@ void FaultInjector::RestoreState(ckpt::Reader& r) {
       failure.event = r.U64();
       failure.fire_time = r.F64();
       pending_failures_[id] = failure;
-      simulator_.RestoreEvent(failure.fire_time, failure.event,
-                              FailureAction(id));
+      simulator_.ScheduleReserved(failure.fire_time, failure.event,
+                                  FailureAction(id));
     }
   }
 }

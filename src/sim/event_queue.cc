@@ -60,15 +60,21 @@ Event EventQueue::Pop() {
   return ev;
 }
 
-void EventQueue::RestoreSchedule(SimTime time, EventId id,
-                                 std::function<void()> action) {
+EventId EventQueue::ReserveIds(std::size_t n) {
+  EventId first = next_id_;
+  next_id_ += n;
+  return first;
+}
+
+void EventQueue::PushReserved(SimTime time, EventId id,
+                              std::function<void()> action) {
   if (id == 0 || id >= next_id_) {
     throw std::logic_error(
-        "EventQueue::RestoreSchedule: id outside the restored range "
-        "(SetNextId must run first)");
+        "EventQueue::PushReserved: id was never handed out (reserve it or "
+        "restore the id counter first)");
   }
   if (!actions_.emplace(id, std::move(action)).second) {
-    throw std::logic_error("EventQueue::RestoreSchedule: duplicate id");
+    throw std::logic_error("EventQueue::PushReserved: duplicate id");
   }
   heap_.push_back(Entry{time, id});
   std::push_heap(heap_.begin(), heap_.end(), Later);

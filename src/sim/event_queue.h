@@ -75,14 +75,22 @@ class EventQueue {
   /// compaction can trigger.
   static constexpr std::size_t kCompactionMinCancelled = 64;
 
-  /// Re-insert an event under its ORIGINAL id during checkpoint restore.
-  /// Pop order is (time, id) and ids encode FIFO push order, so recreating
-  /// every live event with its saved id reproduces the pre-checkpoint pop
-  /// sequence exactly; lazily-cancelled entries are simply not recreated
-  /// (the restored heap is the compacted equivalent of the saved one).
-  /// Throws if `id` is already pending or would collide with ids Push may
-  /// hand out later (call SetNextId first).
-  void RestoreSchedule(SimTime time, EventId id, std::function<void()> action);
+  /// Hand out the next `n` ids without scheduling anything; returns the
+  /// first (the range is [first, first + n)). The caller later arms each
+  /// one with PushReserved, and it pops exactly where an event pushed with
+  /// that id would have: this lets a producer with a long, known-in-advance
+  /// schedule (the workload's arrivals) keep only its next event armed.
+  EventId ReserveIds(std::size_t n);
+
+  /// Insert an event under an id handed out earlier, by ReserveIds or by a
+  /// saved run (checkpoint restore, after SetNextId). Pop order is
+  /// (time, id) and ids encode FIFO push order, so arming an event under
+  /// its reserved id reproduces the pop sequence an immediate Push would
+  /// have had; on restore, recreating every live event with its saved id
+  /// reproduces the pre-checkpoint sequence (lazily-cancelled entries are
+  /// simply not recreated). Throws if `id` was never handed out or is
+  /// already pending.
+  void PushReserved(SimTime time, EventId id, std::function<void()> action);
 
   /// Restore the id counter so post-restore Push calls continue the saved
   /// id sequence (ids are the FIFO tie-break; reusing one would reorder

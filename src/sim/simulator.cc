@@ -40,15 +40,15 @@ std::size_t Simulator::Run(SimTime until) {
   return count;
 }
 
-void Simulator::RestoreEvent(SimTime time, EventId id,
-                             std::function<void()> action) {
+void Simulator::ScheduleReserved(SimTime time, EventId id,
+                                 std::function<void()> action) {
   if (time < now_ - util::kTimeEpsilon) {
-    throw std::logic_error("Simulator::RestoreEvent: event at t=" +
-                           std::to_string(time) + " precedes restored now=" +
+    throw std::logic_error("Simulator::ScheduleReserved: event at t=" +
+                           std::to_string(time) + " precedes now=" +
                            std::to_string(now_));
   }
   if (time < now_) time = now_;
-  queue_.RestoreSchedule(time, id, std::move(action));
+  queue_.PushReserved(time, id, std::move(action));
 }
 
 bool Simulator::RunOne() {

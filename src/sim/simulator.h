@@ -58,14 +58,18 @@ class Simulator {
   /// (nullptr detaches). The counter must outlive the simulator's runs.
   void SetEventCounter(obs::Counter* counter) { event_counter_ = counter; }
 
-  // --- Checkpoint support -------------------------------------------------
+  // --- Reserved ids: pre-planned arrivals and checkpoint restore ----------
   // The queue's closures are unserializable; checkpoints store typed event
   // descriptors owned by each component, which re-arm their closures via
-  // RestoreEvent. The clock, lifetime event count, and the id counter are
-  // the simulator's own state.
+  // ScheduleReserved. The clock, lifetime event count, and the id counter
+  // are the simulator's own state.
 
   /// The id the next scheduled event will receive (FIFO tie-break state).
   EventId NextEventId() const { return queue_.next_id(); }
+
+  /// Reserve the next `n` event ids for events armed later with
+  /// ScheduleReserved; returns the first.
+  EventId ReserveEventIds(std::size_t n) { return queue_.ReserveIds(n); }
 
   /// Restore clock + counters on a fresh simulator (no pending events).
   /// `next_event_id` continues the saved id sequence so post-restore
@@ -77,9 +81,10 @@ class Simulator {
     processed_ = processed_events;
   }
 
-  /// Re-arm one event under its original id at its original firing time.
-  /// `time` may not precede the restored clock.
-  void RestoreEvent(SimTime time, EventId id, std::function<void()> action);
+  /// Arm one event under an id handed out earlier (ReserveEventIds, or the
+  /// original id of a restored event). `time` may not precede Now().
+  void ScheduleReserved(SimTime time, EventId id,
+                        std::function<void()> action);
 
  private:
   SimTime now_ = 0.0;

@@ -1,4 +1,4 @@
-// Crash-safe file output: stage the full contents in a temporary file next
+// Crash-safe file output: write the full contents to a temporary file next
 // to the destination, fsync it, then rename over the target. Readers either
 // see the complete old file or the complete new file — never a truncated
 // mix — so a crash mid-write cannot leave a half-written CSV/JSON behind.
@@ -10,11 +10,17 @@
 //
 // If Commit() is never called (exception unwound past the writer), nothing
 // touches the destination — contents are staged in memory until Commit().
-// All failures — open, write, flush, fsync, rename — throw with the path
-// and the OS errno text, so disk-full and unwritable-dir conditions surface
-// as errors instead of silently truncated output.
+// Callers that already hold their bytes use WriteFileAtomic instead, which
+// writes them straight to the temp file with no staging copy; its gather
+// form takes the file as a list of pieces (a checkpoint's headers and
+// section payloads), so a large file is never assembled in memory.
+// All three entry points share one temp + fsync + rename + directory-fsync
+// routine. All failures — open, write, flush, fsync, rename — throw with
+// the path and the OS errno text, so disk-full and unwritable-dir
+// conditions surface as errors instead of silently truncated output.
 #pragma once
 
+#include <span>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -51,5 +57,10 @@ class AtomicFileWriter {
 
 /// One-shot helper: atomically replace `path` with `contents`.
 void WriteFileAtomic(const std::string& path, std::string_view contents);
+
+/// Gather form: atomically replace `path` with the concatenation of
+/// `pieces`, each written in order straight to the temp file.
+void WriteFileAtomic(const std::string& path,
+                     std::span<const std::string_view> pieces);
 
 }  // namespace iosched::util

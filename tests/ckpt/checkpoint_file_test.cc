@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 namespace iosched::ckpt {
@@ -41,6 +42,17 @@ TEST(CheckpointFile, DuplicateSectionRejected) {
   CheckpointFile file;
   file.AddSection("dup", "x");
   EXPECT_THROW(file.AddSection("dup", "y"), std::logic_error);
+}
+
+TEST(CheckpointFile, DuplicateSectionInFileIsFormatError) {
+  CheckpointFile file;
+  file.AddSection("aa", "x");
+  file.AddSection("ab", "y");
+  std::string bytes = file.Encode();
+  std::size_t at = bytes.find("ab");
+  ASSERT_NE(at, std::string::npos);
+  bytes[at + 1] = 'a';  // names are not covered by the payload CRCs
+  EXPECT_THROW(CheckpointFile::Decode(bytes, "mem"), FormatError);
 }
 
 TEST(CheckpointFile, MissingSectionIsFormatError) {
@@ -101,6 +113,34 @@ TEST(CheckpointFile, WriteAtomicThenLoadRoundTrips) {
     ++entries;
   }
   EXPECT_EQ(entries, 1u);
+}
+
+TEST(CheckpointFile, WrittenBytesEqualEncode) {
+  CheckpointFile file;
+  file.SetConfigHash(42);
+  file.AddSection("head", "h");
+  file.AddSection("empty", "");
+  std::string big(100000, '\0');
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<char>(i * 31 % 251);
+  }
+  file.AddSection("big", big);
+  std::string path = TestDir("gather") + "/state.iosckpt";
+  file.WriteAtomic(path);
+  std::string on_disk;
+  {
+    std::ifstream in(path, std::ios::binary);
+    on_disk.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  EXPECT_EQ(on_disk, file.Encode());
+
+  CheckpointFile loaded = CheckpointFile::Load(path);
+  EXPECT_EQ(loaded.config_hash(), 42u);
+  EXPECT_EQ(loaded.Section("head"), "h");
+  EXPECT_TRUE(loaded.HasSection("empty"));
+  EXPECT_EQ(loaded.Section("empty"), "");
+  EXPECT_EQ(loaded.Section("big"), big);
+  EXPECT_EQ(loaded.Encode(), on_disk);
 }
 
 TEST(CheckpointFile, LoadMissingFileThrows) {

@@ -7,16 +7,20 @@
 // checkpoint path used by the watchdog.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "ckpt/checkpoint.h"
+#include "core/event_log.h"
 #include "core/simulation.h"
 #include "driver/scenario.h"
 #include "metrics/digest.h"
+#include "obs/hub.h"
 #include "workload/app_checkpoint.h"
 
 namespace iosched {
@@ -45,6 +49,12 @@ struct Case {
   /// grant cycles are parked on the previous cycle's tier snapshot, which
   /// must therefore survive the round trip.
   bool app_ckpt = false;
+  /// Tied and out-of-order submits (MixArrivals), with the sampler tick
+  /// on: arrivals are armed one at a time from a cursor in (submit_time,
+  /// index) order, and a resume must re-arm the right one beside the
+  /// restored tick. Declared before `predict` so it sits in padding: the
+  /// 24-byte param dump in the test names stays.
+  bool mixed_arrivals = false;
   /// Prediction mode (nullptr = subsystem off). "learned" makes the
   /// predictor's EWMA tables part of the resume-equivalence bar: dropping
   /// them on resume would change post-resume grants and diverge the digest.
@@ -55,11 +65,35 @@ std::string CaseSlug(const Case& c) {
   return std::string(c.policy) + (c.faults ? "_faulted" : "_clean") +
          (c.burst_buffer ? "_bb" : "") + (c.bb_faults ? "_bbfaults" : "") +
          (c.app_ckpt ? "_appckpt" : "") +
-         (c.predict != nullptr ? std::string("_pred_") + c.predict : "");
+         (c.predict != nullptr ? std::string("_pred_") + c.predict : "") +
+         (c.mixed_arrivals ? "_mixed_arrivals" : "");
 }
 
 std::string CaseName(const testing::TestParamInfo<Case>& info) {
   return CaseSlug(info.param);
+}
+
+/// Every third job arrives together with the one before it, then the
+/// workload is reversed, so workload order is neither submit order nor
+/// free of ties.
+void MixArrivals(workload::Workload& jobs) {
+  for (std::size_t i = 2; i < jobs.size(); i += 3) {
+    jobs[i].submit_time = jobs[i - 1].submit_time;
+  }
+  std::reverse(jobs.begin(), jobs.end());
+}
+
+/// Runs with a fresh hub when the case samples, so resumed runs meet the
+/// sampler tick their checkpoints saved.
+core::SimulationResult RunCase(const Case& c,
+                               const core::SimulationConfig& config,
+                               const workload::Workload& jobs) {
+  if (!c.mixed_arrivals) return core::RunSimulation(config, jobs);
+  obs::Options options;
+  options.enabled = true;
+  options.sample_dt_seconds = 600.0;
+  obs::Hub hub(options);
+  return core::RunSimulation(config, jobs, nullptr, &hub);
 }
 
 /// Congested half-day scenario; walltime kills and (optionally) fault
@@ -135,6 +169,7 @@ std::pair<core::SimulationConfig, workload::Workload> BuildCase(
     config.faults.plan_config.job_mtbf_seconds = 1800.0;
     config.faults.restart_mode = faults::RestartMode::kRestartFromAppCheckpoint;
   }
+  if (c.mixed_arrivals) MixArrivals(scenario.jobs);
   return {config, std::move(scenario.jobs)};
 }
 
@@ -142,7 +177,7 @@ class CheckpointResumeTest : public testing::TestWithParam<Case> {};
 
 TEST_P(CheckpointResumeTest, EveryCheckpointResumesToIdenticalRecords) {
   auto [config, jobs] = BuildCase(GetParam());
-  core::SimulationResult uninterrupted = core::RunSimulation(config, jobs);
+  core::SimulationResult uninterrupted = RunCase(GetParam(), config, jobs);
   std::uint64_t reference = metrics::DigestRecords(uninterrupted.records);
   std::uint64_t reference_bandwidth =
       metrics::DigestBandwidth(uninterrupted.bandwidth);
@@ -157,7 +192,7 @@ TEST_P(CheckpointResumeTest, EveryCheckpointResumesToIdenticalRecords) {
   saving.checkpoint.directory = dir;
   saving.checkpoint.every_events = 60;
   saving.checkpoint.keep_last = 0;  // keep every snapshot
-  core::SimulationResult checkpointed = core::RunSimulation(saving, jobs);
+  core::SimulationResult checkpointed = RunCase(GetParam(), saving, jobs);
   EXPECT_EQ(metrics::DigestRecords(checkpointed.records), reference);
   EXPECT_EQ(metrics::DigestBandwidth(checkpointed.bandwidth),
             reference_bandwidth);
@@ -169,7 +204,7 @@ TEST_P(CheckpointResumeTest, EveryCheckpointResumesToIdenticalRecords) {
   for (const auto& [seq, path] : snapshots) {
     core::SimulationConfig resume = config;
     resume.checkpoint.resume_from = path;
-    core::SimulationResult resumed = core::RunSimulation(resume, jobs);
+    core::SimulationResult resumed = RunCase(GetParam(), resume, jobs);
     EXPECT_EQ(metrics::DigestRecords(resumed.records), reference)
         << "divergence after resuming from " << path;
     EXPECT_EQ(metrics::DigestBandwidth(resumed.bandwidth), reference_bandwidth)
@@ -192,25 +227,91 @@ INSTANTIATE_TEST_SUITE_P(
                     Case{"ADAPTIVE", true, true},
                     Case{"BASE_LINE", false, true, true},
                     Case{"ADAPTIVE", true, true, true},
-                    Case{"PREDICTIVE", false, false, false, false, "learned"},
-                    Case{"PREDICTIVE_ADAPTIVE", true, true, false, false,
+                    Case{"PREDICTIVE", false, false, false, false, false,
                          "learned"},
+                    Case{"PREDICTIVE_ADAPTIVE", true, true, false, false,
+                         false, "learned"},
                     Case{"PREDICTIVE_ADAPTIVE", false, false, false, false,
-                         "oracle"},
+                         false, "oracle"},
                     // Planning family: the every-60-events cadence lands
                     // snapshots mid-window, so rotations, anchors, and
                     // reservation tables must survive the round trip
                     // bit-exactly.
                     Case{"PERIODIC", false}, Case{"PERIODIC", true, true},
                     Case{"PLAN_BF", false},
-                    Case{"PLAN_BF", false, true, false, false, "oracle"},
-                    Case{"PLAN_BF", true, true, false, false, "oracle"},
+                    Case{"PLAN_BF", false, true, false, false, false,
+                         "oracle"},
+                    Case{"PLAN_BF", true, true, false, false, false,
+                         "oracle"},
                     // ADAPTIVE parks flushes submitted between grant
                     // cycles on the previous cycle's tier snapshot; drain
                     // degradations make that snapshot say "defer".
                     Case{"ADAPTIVE", false, true, true, true},
-                    Case{"ADAPTIVE", true, true, true, true}),
+                    Case{"ADAPTIVE", true, true, true, true},
+                    // Arrivals fire from a cursor: a resume must re-arm
+                    // exactly the next one, ties and all.
+                    Case{"BASE_LINE", false, false, false, false, true},
+                    Case{"ADAPTIVE", true, false, false, false, true}),
     CaseName);
+
+TEST(Arrivals, SubmitsFireInSubmitTimeThenWorkloadOrder) {
+  auto [config, jobs] =
+      BuildCase({"BASE_LINE", false, false, false, false, true});
+  std::map<workload::JobId, std::size_t> index;
+  for (std::size_t i = 0; i < jobs.size(); ++i) index[jobs[i].id] = i;
+  core::EventLog log;
+  core::RunSimulation(config, jobs, &log);
+  std::vector<std::pair<double, std::size_t>> submits;
+  for (const core::SchedEvent& e : log.events()) {
+    if (e.kind == core::SchedEventKind::kSubmit) {
+      submits.emplace_back(e.time, index.at(e.job));
+    }
+  }
+  ASSERT_EQ(submits.size(), jobs.size());
+  EXPECT_TRUE(std::is_sorted(submits.begin(), submits.end()));
+  // The case really mixes the order: ties, and index order != time order.
+  EXPECT_NE(std::adjacent_find(submits.begin(), submits.end(),
+                               [](const auto& a, const auto& b) {
+                                 return a.first == b.first;
+                               }),
+            submits.end());
+  EXPECT_GT(submits.front().second, submits.back().second);
+}
+
+TEST(CheckpointResume, EngineSectionIgnoresArrivalsStillToCome) {
+  auto [config, jobs] = BuildCase({"BASE_LINE", false});
+  workload::Workload more = jobs;
+  double last = 0.0;
+  workload::JobId next_id = 0;
+  for (const workload::Job& job : jobs) {
+    last = std::max(last, job.submit_time);
+    next_id = std::max(next_id, job.id + 1);
+  }
+  for (int i = 0; i < 1000; ++i) {
+    workload::Job extra = jobs[static_cast<std::size_t>(i) % jobs.size()];
+    extra.id = next_id + i;
+    extra.submit_time = last + 86400.0 + i;
+    more.push_back(extra);
+  }
+  auto first_engine_section = [&](const workload::Workload& w,
+                                  const std::string& leaf) {
+    core::SimulationConfig saving = config;
+    saving.checkpoint.directory = TestDir(leaf);
+    saving.checkpoint.every_events = 60;
+    saving.checkpoint.keep_last = 0;
+    core::RunSimulation(saving, w);
+    auto snapshots = ckpt::ListCheckpoints(saving.checkpoint.directory);
+    if (snapshots.empty()) {
+      ADD_FAILURE() << "no checkpoint saved";
+      return std::string();
+    }
+    return std::string(ckpt::CheckpointFile::Load(snapshots.front().second)
+                           .Section("engine"));
+  };
+  std::string base = first_engine_section(jobs, "engine_base");
+  std::string extended = first_engine_section(more, "engine_more");
+  EXPECT_EQ(extended.size(), base.size());
+}
 
 TEST(CheckpointResume, MismatchedConfigIsRejected) {
   auto [config, jobs] = BuildCase({"BASE_LINE", false});

@@ -170,6 +170,21 @@ TEST(EventQueue, AutoCompactionBoundsHeapUnderChurn) {
   }
 }
 
+TEST(EventQueue, ReservedIdArmedLaterPopsBeforeEarlierPush) {
+  EventQueue q;
+  EventId first = q.ReserveIds(2);
+  std::vector<int> order;
+  EventId pushed = q.Push(5.0, [&] { order.push_back(2); });
+  EXPECT_EQ(pushed, first + 2);
+  // Armed after the push, but under a lower id: it pops first at the tie.
+  q.PushReserved(5.0, first + 1, [&] { order.push_back(1); });
+  EXPECT_THROW(q.PushReserved(6.0, first + 1, [] {}), std::logic_error);
+  EXPECT_THROW(q.PushReserved(6.0, pushed + 1, [] {}), std::logic_error);
+  EXPECT_THROW(q.PushReserved(6.0, 0, [] {}), std::logic_error);
+  while (!q.Empty()) q.Pop().action();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
 TEST(EventQueue, StressRandomOrderStaysSorted) {
   EventQueue q;
   util::Rng rng(2024);

@@ -114,5 +114,18 @@ TEST(Simulator, TinyNegativeSlackClamped) {
   EXPECT_NO_THROW(s.Run());
 }
 
+TEST(Simulator, ScheduleReservedRefusesThePast) {
+  Simulator s;
+  EventId first = s.ReserveEventIds(2);
+  std::vector<int> order;
+  s.ScheduleAt(2.0, [&] {
+    order.push_back(1);
+    EXPECT_THROW(s.ScheduleReserved(1.0, first, [] {}), std::logic_error);
+    s.ScheduleReserved(3.0, first + 1, [&] { order.push_back(2); });
+  });
+  s.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
 }  // namespace
 }  // namespace iosched::sim

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 namespace iosched::util {
 namespace {
@@ -98,6 +99,14 @@ TEST(AtomicFileWriter, BinaryContentsSurviveByteExact) {
   out.Write(payload);
   out.Commit();
   EXPECT_EQ(Slurp(path), payload);
+}
+
+TEST(WriteFileAtomic, GatherWritesPiecesInOrder) {
+  std::string path = TestDir("gather") + "/out.bin";
+  const std::string_view pieces[] = {"ab", "", "cde",
+                                     std::string_view("\0f", 2)};
+  WriteFileAtomic(path, pieces);
+  EXPECT_EQ(Slurp(path), std::string("abcde\0f", 7));
 }
 
 TEST(WriteFileAtomic, OneShotHelper) {
