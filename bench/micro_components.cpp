@@ -54,7 +54,7 @@ void BM_EventQueuePushPop(benchmark::State& state) {
   for (auto& t : times) t = rng.Uniform(0, 1e6);
   for (auto _ : state) {
     sim::EventQueue q;
-    for (double t : times) q.Push(t, [] {});
+    for (double t : times) q.Push(t, 0, 0);
     while (!q.Empty()) benchmark::DoNotOptimize(q.Pop().time);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -69,7 +69,7 @@ void BM_EventQueueCancelHeavy(benchmark::State& state) {
     std::vector<sim::EventId> ids;
     ids.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
-      ids.push_back(q.Push(static_cast<double>(i % 97), [] {}));
+      ids.push_back(q.Push(static_cast<double>(i % 97), 0, 0));
     }
     for (std::size_t i = 0; i < count; i += 2) q.Cancel(ids[i]);
     while (!q.Empty()) benchmark::DoNotOptimize(q.Pop().id);
@@ -249,7 +249,7 @@ std::vector<ComponentResult> RunComponentTimers() {
     for (auto& t : times) t = rng.Uniform(0, 1e6);
     out.push_back(TimeComponent("event_queue_push_pop", 2 * count, 5, [&] {
       sim::EventQueue q;
-      for (double t : times) q.Push(t, [] {});
+      for (double t : times) q.Push(t, 0, 0);
       while (!q.Empty()) q.Pop();
     }));
   }
@@ -264,19 +264,19 @@ std::vector<ComponentResult> RunComponentTimers() {
       std::vector<sim::EventId> live;
       double now = 0.0;
       for (std::size_t i = 0; i < 64; ++i) {
-        live.push_back(q.Push(now + 100.0 + static_cast<double>(i), [] {}));
+        live.push_back(q.Push(now + 100.0 + static_cast<double>(i), 0, 0));
       }
       util::Pcg32 g(11);
       for (std::size_t r = 0; r < rounds; ++r) {
         std::size_t victim = g() % live.size();
         q.Cancel(live[victim]);
         now += 0.01;
-        live[victim] = q.Push(now + 100.0 + static_cast<double>(g() % 128),
-                              [] {});
+        live[victim] =
+            q.Push(now + 100.0 + static_cast<double>(g() % 128), 0, 0);
         if ((r & 1023) == 0) {
           sim::Event ev = q.Pop();
           live.erase(std::find(live.begin(), live.end(), ev.id));
-          live.push_back(q.Push(now + 100.0, [] {}));
+          live.push_back(q.Push(now + 100.0, 0, 0));
         }
       }
       while (!q.Empty()) q.Pop();

@@ -6,7 +6,9 @@
 // finishes, wasting bandwidth; ADAPTIVE compares the average finish time of
 // "defer C" vs "let C compete" and admits C when sharing is cheaper.
 #include <cstdio>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/io_scheduler.h"
@@ -25,6 +27,29 @@ struct Request {
   int nodes;
   double volume_gb;
   double arrival;
+};
+
+/// The example's own event type: the simulator hands each arrival event
+/// (key = request index) to this handler, registered under its own owner
+/// tag the way the engine's components register theirs.
+class ArrivalDriver : public sim::EventHandler {
+ public:
+  static constexpr sim::Owner kOwner = 100;
+
+  ArrivalDriver(sim::Simulator& simulator,
+                std::function<void(std::size_t)> arrive)
+      : simulator_(simulator), arrive_(std::move(arrive)) {
+    simulator_.SetHandler(kOwner, this, 1);
+  }
+  ~ArrivalDriver() { simulator_.SetHandler(kOwner, nullptr, 0); }
+
+  void OnEvent(const sim::Event& event) override {
+    arrive_(static_cast<std::size_t>(event.key));
+  }
+
+ private:
+  sim::Simulator& simulator_;
+  std::function<void(std::size_t)> arrive_;
 };
 
 void RunScenario(const std::string& policy_name) {
@@ -58,24 +83,24 @@ void RunScenario(const std::string& policy_name) {
         std::printf("  t=%5.2fs  request %s finished\n", t,
                     requests[static_cast<std::size_t>(id - 1)].label);
       });
+  ArrivalDriver arrivals(simulator, [&](std::size_t i) {
+    std::printf("  t=%5.2fs  request %s arrives (%d nodes, %.0f GB, "
+                "demand %.0f GB/s)\n",
+                requests[i].arrival, requests[i].label, requests[i].nodes,
+                requests[i].volume_gb, node_bw * requests[i].nodes);
+    scheduler.SubmitRequest(requests[i].id, requests[i].volume_gb,
+                            simulator.Now());
+    // Show the post-cycle bandwidth grants.
+    for (const storage::Transfer* t : storage.ActiveByArrival()) {
+      std::printf("             %s: %.1f GB/s%s\n",
+                  requests[static_cast<std::size_t>(t->job_id - 1)].label,
+                  t->rate_gbps, t->rate_gbps == 0 ? "  (suspended)" : "");
+    }
+  });
   for (std::size_t i = 0; i < requests.size(); ++i) {
     scheduler.RegisterJob(jobs[i], 0.0);
-    const Request& r = requests[i];
-    simulator.ScheduleAt(r.arrival, [&, i] {
-      std::printf("  t=%5.2fs  request %s arrives (%d nodes, %.0f GB, "
-                  "demand %.0f GB/s)\n",
-                  requests[i].arrival, requests[i].label, requests[i].nodes,
-                  requests[i].volume_gb,
-                  node_bw * requests[i].nodes);
-      scheduler.SubmitRequest(requests[i].id, requests[i].volume_gb,
-                              simulator.Now());
-      // Show the post-cycle bandwidth grants.
-      for (const storage::Transfer* t : storage.ActiveByArrival()) {
-        std::printf("             %s: %.1f GB/s%s\n",
-                    requests[static_cast<std::size_t>(t->job_id - 1)].label,
-                    t->rate_gbps, t->rate_gbps == 0 ? "  (suspended)" : "");
-      }
-    });
+    simulator.ScheduleAt(requests[i].arrival, ArrivalDriver::kOwner, 0,
+                         static_cast<std::int64_t>(i));
   }
   simulator.Run();
   std::printf("\n");

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/hub.h"
@@ -32,10 +33,26 @@ IoScheduler::IoScheduler(sim::Simulator& simulator,
       [this](double new_bwmax, sim::SimTime now) {
         OnBandwidthChange(new_bwmax, now);
       });
+  simulator_.SetHandler(kEventOwner, this, kEventKinds);
 }
 
 IoScheduler::~IoScheduler() {
   storage_.SetBandwidthChangeListener(nullptr);
+  simulator_.SetHandler(kEventOwner, nullptr, 0);
+}
+
+void IoScheduler::OnEvent(const sim::Event& event) {
+  const workload::JobId id = event.key;
+  switch (static_cast<EventKind>(event.kind)) {
+    case kCompletion: OnCompletionEvent(); break;
+    case kDrain: drain_event_ = 0; Reschedule(event.time); break;
+    case kPlanReview: review_event_ = 0; Reschedule(event.time); break;
+    case kAbsorbed: OnAbsorbedComplete(id, event.arg); break;
+    case kFlushRelease: OnFlushDeadline(id); break;
+    case kDeadline: OnTransferDeadline(id); break;
+    case kRetry: OnTransferRetry(id); break;
+    case kEventKinds: break;  // restore rejects unknown kinds
+  }
 }
 
 namespace {
@@ -116,15 +133,13 @@ void IoScheduler::SubmitRequest(workload::JobId id, double volume_gb,
       }
       burst_buffer_->Absorb(id, volume_gb);
       if (hub_ != nullptr) hub_->bb_absorbed_requests->Inc();
-      sim::EventId event =
-          simulator_.ScheduleAfter(duration, AbsorbedAction(id, duration));
+      sim::EventId event = simulator_.ScheduleAfter(
+          duration, kEventOwner, kAbsorbed, id, duration);
       // Durability threshold: the FIFO drain must move everything queued up
       // to and including this request before its bytes are on the PFS.
       double durable_gb =
           burst_buffer_->total_drained_gb() + burst_buffer_->queued_gb();
-      absorbed_events_[id] =
-          AbsorbedEvent{event, now + duration, duration, volume_gb,
-                        durable_gb};
+      absorbed_events_[id] = AbsorbedEvent{event, volume_gb, durable_gb};
       Reschedule(now);
       return;
     }
@@ -156,7 +171,8 @@ void IoScheduler::SubmitRequest(workload::JobId id, double volume_gb,
 void IoScheduler::ParkFlush(workload::JobId id, double volume_gb,
                             sim::SimTime now) {
   sim::SimTime deadline = now + flush_config_.max_defer_seconds;
-  sim::EventId event = simulator_.ScheduleAt(deadline, FlushReleaseAction(id));
+  sim::EventId event =
+      simulator_.ScheduleAt(deadline, kEventOwner, kFlushRelease, id);
   deferred_flushes_[id] = DeferredFlush{event, deadline, now, volume_gb};
   deferred_backlog_gb_ += volume_gb;
   ++flush_deferrals_;
@@ -164,19 +180,17 @@ void IoScheduler::ParkFlush(workload::JobId id, double volume_gb,
       obs::kStorageTrack, "flush_deferred", now, volume_gb);
 }
 
-std::function<void()> IoScheduler::FlushReleaseAction(workload::JobId id) {
-  return [this, id] {
-    auto it = deferred_flushes_.find(id);
-    if (it == deferred_flushes_.end()) return;
-    double volume = it->second.volume_gb;
-    deferred_backlog_gb_ -= volume;
-    deferred_flushes_.erase(it);
-    if (deferred_flushes_.empty()) deferred_backlog_gb_ = 0.0;
-    ++forced_flush_releases_;
-    sim::SimTime now = simulator_.Now();
-    BeginDirectTransfer(id, volume, now, /*retries=*/0);
-    Reschedule(now);
-  };
+void IoScheduler::OnFlushDeadline(workload::JobId id) {
+  auto it = deferred_flushes_.find(id);
+  if (it == deferred_flushes_.end()) return;
+  double volume = it->second.volume_gb;
+  deferred_backlog_gb_ -= volume;
+  deferred_flushes_.erase(it);
+  if (deferred_flushes_.empty()) deferred_backlog_gb_ = 0.0;
+  ++forced_flush_releases_;
+  sim::SimTime now = simulator_.Now();
+  BeginDirectTransfer(id, volume, now, /*retries=*/0);
+  Reschedule(now);
 }
 
 void IoScheduler::ReleaseDeferredFlushes(sim::SimTime now) {
@@ -265,9 +279,8 @@ void IoScheduler::BeginDirectTransfer(workload::JobId id, double volume_gb,
   storage_.SetUserSlot(id, slot);
   if (retry_config_.enabled() && retries < retry_config_.max_retries) {
     sim::EventId event = simulator_.ScheduleAfter(
-        retry_config_.timeout_seconds, DeadlineAction(id));
-    deadline_events_[id] = DeadlineEvent{
-        event, now + retry_config_.timeout_seconds, retries};
+        retry_config_.timeout_seconds, kEventOwner, kDeadline, id);
+    deadline_events_[id] = DeadlineEvent{event, retries};
   }
 }
 
@@ -389,21 +402,13 @@ void IoScheduler::Reschedule(sim::SimTime now) {
     burst_buffer_->AdvanceTo(now);
     usable_bandwidth = std::max(
         0.0, usable_bandwidth - burst_buffer_->CurrentDrainRate());
-    if (has_drain_event_) {
-      simulator_.Cancel(drain_event_);
-      has_drain_event_ = false;
-    }
+    simulator_.Cancel(std::exchange(drain_event_, 0));
     if (burst_buffer_->queued_gb() > 0) {
       // Keep the wakeup strictly in the future even when the remaining
       // drain time is below the clock's resolution at this timestamp.
       sim::SimTime wake =
           std::max(burst_buffer_->DrainEmptyTime(), now + 1e-4);
-      drain_event_ = simulator_.ScheduleAt(wake, [this] {
-        has_drain_event_ = false;
-        Reschedule(simulator_.Now());
-      });
-      has_drain_event_ = true;
-      drain_event_time_ = wake;
+      drain_event_ = simulator_.ScheduleAt(wake, kEventOwner, kDrain);
     }
   }
   RefreshCycleInputs(now);
@@ -497,16 +502,11 @@ void IoScheduler::Reschedule(sim::SimTime now) {
     }
   }
 
-  if (has_pending_event_) {
-    simulator_.Cancel(pending_event_);
-    has_pending_event_ = false;
-  }
+  simulator_.Cancel(std::exchange(pending_event_, 0));
   auto next = storage_.NextCompletion();
   if (next) {
-    pending_event_ =
-        simulator_.ScheduleAt(next->first, [this] { OnCompletionEvent(); });
-    has_pending_event_ = true;
-    pending_event_time_ = next->first;
+    pending_event_ = simulator_.ScheduleAt(next->first, kEventOwner,
+                                           kCompletion);
   }
 
   // Planning policies may want a cycle at the next plan boundary (slice
@@ -573,10 +573,7 @@ std::vector<RateGrant> IoScheduler::PlanAndExecute(const PlanContext& ctx) {
 }
 
 void IoScheduler::ArmPlanReview(const PlanContext& ctx) {
-  if (has_review_event_) {
-    simulator_.Cancel(review_event_);
-    has_review_event_ = false;
-  }
+  simulator_.Cancel(std::exchange(review_event_, 0));
   // The policy folds its own plan expiry into NextPlanEvent while it has
   // standing traffic and returns infinity when idle — an unconditional
   // expiry wakeup would keep the event queue non-empty forever and the
@@ -584,16 +581,7 @@ void IoScheduler::ArmPlanReview(const PlanContext& ctx) {
   sim::SimTime next = policy_->NextPlanEvent(ctx);
   if (!std::isfinite(next)) return;
   sim::SimTime wake = std::max(next, ctx.now + 1e-4);
-  review_event_ = simulator_.ScheduleAt(wake, PlanReviewAction());
-  has_review_event_ = true;
-  review_event_time_ = wake;
-}
-
-std::function<void()> IoScheduler::PlanReviewAction() {
-  return [this] {
-    has_review_event_ = false;
-    Reschedule(simulator_.Now());
-  };
+  review_event_ = simulator_.ScheduleAt(wake, kEventOwner, kPlanReview);
 }
 
 std::string PlanConfig::Validate() const {
@@ -610,23 +598,20 @@ void IoScheduler::ConfigurePlanning(const PlanConfig& config) {
   plan_config_ = config;
 }
 
-std::function<void()> IoScheduler::AbsorbedAction(workload::JobId id,
-                                                 double duration) {
-  return [this, id, duration] {
-    // A buffer-absorbed request runs contention-free at the absorb-tier
-    // rate: its completed uncongested time equals its actual time.
-    IoCompletionInfo info;
-    info.absorbed = true;
-    auto it = absorbed_events_.find(id);
-    if (it != absorbed_events_.end()) {
-      info.durable_drain_gb = it->second.durable_gb;
-      absorbed_events_.erase(it);
-    }
-    JobContext& ctx = MustFind(jobs_, id);
-    ctx.completed_io_seconds += duration;
-    ctx.last_io_end_time = simulator_.Now();
-    on_complete_(id, simulator_.Now(), info);
-  };
+void IoScheduler::OnAbsorbedComplete(workload::JobId id, double duration) {
+  // A buffer-absorbed request runs contention-free at the absorb-tier
+  // rate: its completed uncongested time equals its actual time.
+  IoCompletionInfo info;
+  info.absorbed = true;
+  auto it = absorbed_events_.find(id);
+  if (it != absorbed_events_.end()) {
+    info.durable_drain_gb = it->second.durable_gb;
+    absorbed_events_.erase(it);
+  }
+  JobContext& ctx = MustFind(jobs_, id);
+  ctx.completed_io_seconds += duration;
+  ctx.last_io_end_time = simulator_.Now();
+  on_complete_(id, simulator_.Now(), info);
 }
 
 std::string TransferRetryConfig::Validate() const {
@@ -744,14 +729,6 @@ double IoScheduler::BackoffDelay(int retries) {
   return std::max(backoff, 1e-3);
 }
 
-std::function<void()> IoScheduler::DeadlineAction(workload::JobId id) {
-  return [this, id] { OnTransferDeadline(id); };
-}
-
-std::function<void()> IoScheduler::RetryAction(workload::JobId id) {
-  return [this, id] { OnTransferRetry(id); };
-}
-
 void IoScheduler::OnTransferDeadline(workload::JobId id) {
   auto it = deadline_events_.find(id);
   if (it == deadline_events_.end()) return;
@@ -773,9 +750,9 @@ void IoScheduler::OnTransferDeadline(workload::JobId id) {
   ++transfer_timeouts_;
   if (hub_ != nullptr) hub_->io_transfer_timeouts->Inc();
   double delay = BackoffDelay(retries);
-  sim::EventId event = simulator_.ScheduleAfter(delay, RetryAction(id));
-  pending_retries_[id] =
-      PendingRetry{event, now + delay, remaining, retries + 1};
+  sim::EventId event =
+      simulator_.ScheduleAfter(delay, kEventOwner, kRetry, id);
+  pending_retries_[id] = PendingRetry{event, remaining, retries + 1};
   Reschedule(now);
 }
 
@@ -847,16 +824,8 @@ void IoScheduler::SaveState(ckpt::Writer& w) const {
     w.F64(ctx.completed_compute_seconds);
     w.F64(ctx.completed_io_seconds);
   }
-  w.Bool(has_pending_event_);
-  if (has_pending_event_) {
-    w.U64(pending_event_);
-    w.F64(pending_event_time_);
-  }
-  w.Bool(has_drain_event_);
-  if (has_drain_event_) {
-    w.U64(drain_event_);
-    w.F64(drain_event_time_);
-  }
+  w.U64(pending_event_);
+  w.U64(drain_event_);
   w.U64(cycles_);
   w.U64(submitted_requests_);
   w.Bool(congested_);
@@ -872,8 +841,6 @@ void IoScheduler::SaveState(ckpt::Writer& w) const {
     const AbsorbedEvent& ab = absorbed_events_.at(id);
     w.I64(id);
     w.U64(ab.event);
-    w.F64(ab.fire_time);
-    w.F64(ab.duration);
     w.F64(ab.volume_gb);
     w.F64(ab.durable_gb);
   }
@@ -892,7 +859,6 @@ void IoScheduler::SaveState(ckpt::Writer& w) const {
     const DeadlineEvent& dl = deadline_events_.at(id);
     w.I64(id);
     w.U64(dl.event);
-    w.F64(dl.fire_time);
     w.I64(dl.retries);
   }
   ids.clear();
@@ -904,7 +870,6 @@ void IoScheduler::SaveState(ckpt::Writer& w) const {
     const PendingRetry& pr = pending_retries_.at(id);
     w.I64(id);
     w.U64(pr.event);
-    w.F64(pr.fire_time);
     w.F64(pr.remaining_gb);
     w.I64(pr.retries);
   }
@@ -966,11 +931,7 @@ void IoScheduler::SaveState(ckpt::Writer& w) const {
     w.F64(plan_valid_until_);
     w.U64(replans_);
     w.U64(cycles_in_plan_);
-    w.Bool(has_review_event_);
-    if (has_review_event_) {
-      w.U64(review_event_);
-      w.F64(review_event_time_);
-    }
+    w.U64(review_event_);
     policy_->SaveState(w);
   }
 }
@@ -1002,22 +963,13 @@ void IoScheduler::RestoreState(
     ctx.last_io_end_time = ctx.start_time;
     jobs_.Add(id, ctx);
   }
-  has_pending_event_ = r.Bool();
-  if (has_pending_event_) {
-    pending_event_ = r.U64();
-    pending_event_time_ = r.F64();
-    simulator_.ScheduleReserved(pending_event_time_, pending_event_,
-                                [this] { OnCompletionEvent(); });
-  }
-  has_drain_event_ = r.Bool();
-  if (has_drain_event_) {
-    drain_event_ = r.U64();
-    drain_event_time_ = r.F64();
-    simulator_.ScheduleReserved(drain_event_time_, drain_event_, [this] {
-      has_drain_event_ = false;
-      Reschedule(simulator_.Now());
-    });
-  }
+  // Every saved event id must name an event the simulator restored.
+  auto pending = [this](sim::EventId id) {
+    simulator_.RequirePending(id, "iosched");
+    return id;
+  };
+  pending_event_ = pending(r.U64());
+  drain_event_ = pending(r.U64());
   cycles_ = r.U64();
   submitted_requests_ = r.U64();
   congested_ = r.Bool();
@@ -1028,14 +980,10 @@ void IoScheduler::RestoreState(
   for (std::uint32_t i = 0; i < absorbed; ++i) {
     workload::JobId id = r.I64();
     AbsorbedEvent ab;
-    ab.event = r.U64();
-    ab.fire_time = r.F64();
-    ab.duration = r.F64();
+    ab.event = pending(r.U64());
     ab.volume_gb = r.F64();
     ab.durable_gb = r.F64();
     absorbed_events_.emplace(id, ab);
-    simulator_.ScheduleReserved(ab.fire_time, ab.event,
-                                AbsorbedAction(id, ab.duration));
   }
   util::Rng::State jitter;
   jitter.engine.state = r.U64();
@@ -1047,22 +995,18 @@ void IoScheduler::RestoreState(
   for (std::uint32_t i = 0; i < deadlines; ++i) {
     workload::JobId id = r.I64();
     DeadlineEvent dl;
-    dl.event = r.U64();
-    dl.fire_time = r.F64();
+    dl.event = pending(r.U64());
     dl.retries = static_cast<int>(r.I64());
     deadline_events_.emplace(id, dl);
-    simulator_.ScheduleReserved(dl.fire_time, dl.event, DeadlineAction(id));
   }
   std::uint32_t retries = r.U32();
   for (std::uint32_t i = 0; i < retries; ++i) {
     workload::JobId id = r.I64();
     PendingRetry pr;
-    pr.event = r.U64();
-    pr.fire_time = r.F64();
+    pr.event = pending(r.U64());
     pr.remaining_gb = r.F64();
     pr.retries = static_cast<int>(r.I64());
     pending_retries_.emplace(id, pr);
-    simulator_.ScheduleReserved(pr.fire_time, pr.event, RetryAction(id));
   }
   transfer_timeouts_ = r.U64();
   transfer_retries_ = r.U64();
@@ -1098,14 +1042,12 @@ void IoScheduler::RestoreState(
     for (std::uint32_t i = 0; i < deferred; ++i) {
       workload::JobId id = r.I64();
       DeferredFlush df;
-      df.event = r.U64();
+      df.event = pending(r.U64());
       df.fire_time = r.F64();
       df.submit_time = r.F64();
       df.volume_gb = r.F64();
       deferred_flushes_.emplace(id, df);
       deferred_backlog_gb_ += df.volume_gb;
-      simulator_.ScheduleReserved(df.fire_time, df.event,
-                                  FlushReleaseAction(id));
     }
     flush_deferrals_ = r.U64();
     forced_flush_releases_ = r.U64();
@@ -1121,13 +1063,7 @@ void IoScheduler::RestoreState(
     plan_valid_until_ = r.F64();
     replans_ = r.U64();
     cycles_in_plan_ = r.U64();
-    has_review_event_ = r.Bool();
-    if (has_review_event_) {
-      review_event_ = r.U64();
-      review_event_time_ = r.F64();
-      simulator_.ScheduleReserved(review_event_time_, review_event_,
-                                  PlanReviewAction());
-    }
+    review_event_ = pending(r.U64());
     policy_->RestoreState(r);
   }
   // User slots are runtime-only (not serialized); relink every restored
@@ -1149,7 +1085,7 @@ void IoScheduler::RestoreState(
 }
 
 void IoScheduler::OnCompletionEvent() {
-  has_pending_event_ = false;
+  pending_event_ = 0;
   sim::SimTime now = simulator_.Now();
   storage_.AdvanceTo(now);
 

@@ -9,7 +9,8 @@
 //
 // It also maintains the per-job accounting the slowdown metrics need
 // (completed compute seconds, completed uncongested I/O seconds) and drives
-// the single pending completion event on the simulator.
+// the single pending completion event on the simulator. Its events are
+// plain data under its own owner tag; OnEvent dispatches them.
 #pragma once
 
 #include <functional>
@@ -109,7 +110,7 @@ struct IoCompletionInfo {
   double durable_drain_gb = 0.0;
 };
 
-class IoScheduler {
+class IoScheduler : private sim::EventHandler {
  public:
   /// Called when a job's current I/O request has fully transferred.
   using CompletionCallback = std::function<void(
@@ -135,9 +136,12 @@ class IoScheduler {
     AttachBurstBuffer(backend.burst_buffer());
   }
 
-  /// Detaches the bandwidth-change listener (the storage model may outlive
-  /// the scheduler, e.g. in test fixtures).
+  /// Detaches the bandwidth-change listener and the event handler (the
+  /// storage model may outlive the scheduler, e.g. in test fixtures).
   ~IoScheduler();
+
+  /// Owner tag of the scheduler's events on the simulator.
+  static constexpr sim::Owner kEventOwner = 2;
 
   /// Register a job when it starts running (t_start for AggrSld).
   void RegisterJob(const workload::Job& job, sim::SimTime start_time);
@@ -295,18 +299,32 @@ class IoScheduler {
   std::vector<IoJobView> BuildViews(sim::SimTime now) const;
 
   /// Serialize per-job accounting, cycle counters, congestion-span state,
-  /// and the scheduler's pending events (completion, drain, absorbed
-  /// completions) with their original event ids and firing times. The
-  /// storage model saves its own transfer set.
+  /// and the ids of the scheduler's pending events (the events themselves
+  /// are in the simulator's state). The storage model saves its own
+  /// transfer set.
   void SaveState(ckpt::Writer& w) const;
-  /// Restore onto a freshly built scheduler; `resolve` maps job ids back to
-  /// workload entries (must cover every saved id). Re-arms pending events
-  /// under their original ids.
+  /// Restore onto a freshly built scheduler, after the simulator restored
+  /// its pending events; `resolve` maps job ids back to workload entries
+  /// (must cover every saved id). Throws ckpt::FormatError for a saved
+  /// event id that is not pending.
   void RestoreState(
       ckpt::Reader& r,
       const std::function<const workload::Job*(workload::JobId)>& resolve);
 
  private:
+  /// The scheduler's event kinds (sim::Event::kind under kEventOwner).
+  enum EventKind : sim::Kind {
+    kCompletion,    // next direct-transfer completion
+    kDrain,         // burst-buffer drain empties
+    kPlanReview,    // next plan boundary (planning policies)
+    kAbsorbed,      // key job, arg duration: absorbed request lands
+    kFlushRelease,  // key job: deferred flush's forced release
+    kDeadline,      // key job: transfer deadline
+    kRetry,         // key job: retry backoff elapsed
+    kEventKinds
+  };
+  void OnEvent(const sim::Event& event) override;
+
   /// Run one scheduling cycle: advance progress, re-assign rates, and
   /// reschedule the completion event.
   void Reschedule(sim::SimTime now);
@@ -333,9 +351,6 @@ class IoScheduler {
   /// Re-arm the plan review event from the policy's NextPlanEvent (planning
   /// policies only; greedy policies never add simulator events).
   void ArmPlanReview(const PlanContext& ctx);
-  /// Closure for the plan review event (fresh arming and checkpoint
-  /// re-arming).
-  std::function<void()> PlanReviewAction();
 
   /// The mode's prediction for `job`: learned predictor, exact trace
   /// profile (oracle), or the support-0 default (null).
@@ -348,21 +363,16 @@ class IoScheduler {
   /// cycle so grants are feasible against the new cap before time advances.
   void OnBandwidthChange(double new_bwmax_gbps, sim::SimTime now);
 
-  /// Closure used for both fresh scheduling and checkpoint re-arming of a
-  /// burst-buffer-absorbed completion.
-  std::function<void()> AbsorbedAction(workload::JobId id, double duration);
+  /// A burst-buffer-absorbed request finished landing after `duration`.
+  void OnAbsorbedComplete(workload::JobId id, double duration);
 
-  /// Closure for a deferred flush's forced-release deadline.
-  std::function<void()> FlushReleaseAction(workload::JobId id);
+  /// A deferred flush reached its forced-release deadline.
+  void OnFlushDeadline(workload::JobId id);
   /// Park a ready direct-path flush on the deferral bench.
   void ParkFlush(workload::JobId id, double volume_gb, sim::SimTime now);
   /// End-of-cycle sweep: release every parked flush that is past its
   /// deadline or that the policy no longer defers.
   void ReleaseDeferredFlushes(sim::SimTime now);
-
-  /// Closures for deadline/retry events (fresh scheduling and re-arming).
-  std::function<void()> DeadlineAction(workload::JobId id);
-  std::function<void()> RetryAction(workload::JobId id);
 
   /// Begin a direct PFS transfer for `id` (drawing a straggler factor when
   /// one is installed) and arm its deadline when timeouts are enabled and
@@ -386,21 +396,15 @@ class IoScheduler {
   /// slot on the storage model (SetUserSlot), so the per-cycle view build
   /// is pure array indexing — no hash probes on the hot path.
   JobStore jobs_;
+  /// Pending completion and drain events (0 when none is armed).
   sim::EventId pending_event_ = 0;
-  bool has_pending_event_ = false;
-  sim::SimTime pending_event_time_ = 0.0;
   sim::EventId drain_event_ = 0;
-  bool has_drain_event_ = false;
-  sim::SimTime drain_event_time_ = 0.0;
   std::uint64_t cycles_ = 0;
   std::uint64_t submitted_requests_ = 0;
-  /// A pending completion of a burst-buffer-absorbed request: the event (so
-  /// kills can cancel it), its firing time, and the transfer duration its
-  /// closure credits (all three checkpointed to re-arm the closure).
+  /// A pending completion of a burst-buffer-absorbed request: the event, so
+  /// kills can cancel it.
   struct AbsorbedEvent {
     sim::EventId event = 0;
-    sim::SimTime fire_time = 0.0;
-    double duration = 0.0;
     /// Request volume — needed to re-flush when a lossy BB fault drops the
     /// staged data out from under the pending completion.
     double volume_gb = 0.0;
@@ -415,7 +419,6 @@ class IoScheduler {
   /// the transfer is aborted and resubmitted after backoff.
   struct DeadlineEvent {
     sim::EventId event = 0;
-    sim::SimTime fire_time = 0.0;
     /// Retries already consumed by this job's current request.
     int retries = 0;
   };
@@ -423,7 +426,6 @@ class IoScheduler {
   /// A resubmission waiting out its backoff (the job holds no transfer).
   struct PendingRetry {
     sim::EventId event = 0;
-    sim::SimTime fire_time = 0.0;
     double remaining_gb = 0.0;
     /// Retries consumed including the upcoming resubmission.
     int retries = 0;
@@ -489,10 +491,8 @@ class IoScheduler {
   /// Plan review event: wakes the scheduler at the next plan boundary
   /// (slice edge, reservation edge, window expiry) so planning policies can
   /// change rates when no request arrives or completes there. Same
-  /// cancel/re-arm triplet pattern as the drain event.
+  /// cancel/re-arm pattern as the drain event (0 when none is armed).
   sim::EventId review_event_ = 0;
-  bool has_review_event_ = false;
-  sim::SimTime review_event_time_ = 0.0;
   /// Cycle-scratch buffers (capacity reused across the ~1 cycle per event
   /// of a month-long replay; cleared each use).
   std::vector<IoJobView> views_scratch_;

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <filesystem>
 #include <limits>
-#include <map>
 #include <numeric>
 #include <optional>
 #include <stdexcept>
@@ -51,17 +50,10 @@ struct ExecState {
   double io_time_actual = 0.0;
   /// Whether the job is currently blocked in an I/O request.
   bool in_io = false;
-  /// Pending walltime-kill event (enforce_walltime mode only). The firing
-  /// time is kept so a checkpoint can re-arm it bit-exactly.
+  /// Pending walltime-kill event (enforce_walltime mode only; 0 = none).
   sim::EventId kill_event = 0;
-  sim::SimTime kill_fire_time = 0.0;
-  bool has_kill_event = false;
-  /// Pending compute-phase-completion event (cancelled on kill), with the
-  /// firing time and phase duration its closure credits on completion.
+  /// Pending compute-phase-completion event, cancelled on kill (0 = none).
   sim::EventId compute_event = 0;
-  sim::SimTime compute_fire_time = 0.0;
-  double compute_duration = 0.0;
-  bool has_compute_event = false;
   /// App-checkpoint durability (app_checkpoint runs only; all dormant
   /// otherwise). `durable_phase` is the first phase a restart would
   /// re-execute given the flushes durably on the PFS; `durable_anchor_time`
@@ -100,7 +92,7 @@ std::uint64_t MixStr(std::uint64_t hash, const std::string& value) {
   return hash;
 }
 
-class Engine {
+class Engine : private sim::EventHandler {
  public:
   Engine(const SimulationConfig& config, const workload::Workload& jobs,
          EventLog* event_log, obs::Hub* hub)
@@ -124,6 +116,7 @@ class Engine {
                       }),
         base_bwmax_(config.storage.max_bandwidth_gbps) {
     burst_buffer_ = backend_->burst_buffer();
+    simulator_.SetHandler(kEventOwner, this, kEventKinds);
     io_scheduler_.SetRetryConfig(config.transfer_retry);
     io_scheduler_.ConfigurePrediction(config.prediction);
     io_scheduler_.ConfigureFlushScheduling(config.app_checkpoint);
@@ -303,28 +296,48 @@ class Engine {
   }
 
  private:
-  // --- Event closures ------------------------------------------------------
-  // Every event the engine schedules is built by one of these factories, so
-  // checkpoint restore re-arms byte-for-byte the same behaviour the original
-  // schedule would have run. Each closure that owns a tracking entry erases
-  // it first, keeping the checkpointed pending sets exactly the
-  // not-yet-fired events.
+  // --- Events --------------------------------------------------------------
+  /// Owner tag of the engine's events on the simulator.
+  static constexpr sim::Owner kEventOwner = 1;
+  /// The engine's event kinds (sim::Event::kind under kEventOwner).
+  enum EventKind : sim::Kind {
+    kArrival,        // key: workload index of the arriving job
+    kPass,           // backoff expiry: run a scheduling pass
+    kWalltimeKill,   // key: job id
+    kComputeDone,    // key: job id, arg: phase duration
+    kSampleTick,     // obs sampler cadence
+    kEventKinds
+  };
 
-  /// Fires the armed arrival, arming the one after it first: only the
-  /// next arrival ever sits in the event queue.
-  std::function<void()> ArrivalAction() {
-    return [this] {
-      const workload::Job& job = jobs_[arrival_order_[next_arrival_++]];
-      ArmNextArrival();
-      OnSubmit(job);
-    };
+  void OnEvent(const sim::Event& event) override {
+    const workload::JobId id = event.key;
+    switch (static_cast<EventKind>(event.kind)) {
+      case kArrival: {
+        // Arm the next arrival before submitting this one: only the next
+        // arrival ever sits in the event queue.
+        const workload::Job& job = jobs_[arrival_order_[next_arrival_++]];
+        ArmNextArrival();
+        OnSubmit(job);
+        break;
+      }
+      case kPass: RunSchedulingPass(); break;
+      case kWalltimeKill: KillJob(id); break;
+      case kComputeDone:
+        running_.at(id).compute_event = 0;
+        io_scheduler_.AddCompletedCompute(id, event.arg);
+        AdvancePhase(id);
+        break;
+      case kSampleTick: SampleTick(); break;
+      case kEventKinds: break;  // restore rejects unknown kinds
+    }
   }
 
   void ArmNextArrival() {
     if (next_arrival_ == arrival_order_.size()) return;
     std::uint32_t index = arrival_order_[next_arrival_];
-    simulator_.ScheduleReserved(jobs_[index].submit_time,
-                                first_arrival_id_ + index, ArrivalAction());
+    simulator_.ScheduleReserved(sim::Event{jobs_[index].submit_time,
+                                           first_arrival_id_ + index,
+                                           kEventOwner, kArrival, index});
   }
 
   /// Workload indices in firing order, (submit_time, index): the order the
@@ -341,36 +354,8 @@ class Engine {
                      });
   }
 
-  std::function<void()> PassAction(std::uint64_t seq) {
-    return [this, seq] {
-      pending_passes_.erase(seq);
-      RunSchedulingPass();
-    };
-  }
-
-  std::function<void()> KillAction(workload::JobId id) {
-    return [this, id] { KillJob(id); };
-  }
-
-  std::function<void()> ComputeAction(workload::JobId id, double duration) {
-    return [this, id, duration] {
-      running_.at(id).has_compute_event = false;
-      io_scheduler_.AddCompletedCompute(id, duration);
-      AdvancePhase(id);
-    };
-  }
-
-  std::function<void()> SampleAction() {
-    return [this] {
-      has_sample_event_ = false;
-      SampleTick();
-    };
-  }
-
   void ArmSampleTick(sim::SimTime t) {
-    sample_event_ = simulator_.ScheduleAt(t, SampleAction());
-    sample_event_time_ = t;
-    has_sample_event_ = true;
+    simulator_.ScheduleAt(t, kEventOwner, kSampleTick);
   }
 
   void OnSubmit(const workload::Job& job) {
@@ -462,17 +447,14 @@ class Engine {
     state.durable_anchor_time = now;
     Log(SchedEventKind::kStart, job.id, static_cast<double>(partition.nodes));
     if (config_.enforce_walltime) {
-      state.kill_fire_time = now + job.requested_walltime;
-      state.kill_event =
-          simulator_.ScheduleAt(state.kill_fire_time, KillAction(job.id));
-      state.has_kill_event = true;
+      state.kill_event = simulator_.ScheduleAt(
+          now + job.requested_walltime, kEventOwner, kWalltimeKill, job.id);
     }
     running_.emplace(job.id, state);
     io_scheduler_.RegisterJob(job, now);
     if (injector_.has_value()) {
       injector_->OnJobStart(
-          job.id, now,
-          job.UncongestedRuntime(config_.machine.node_bandwidth_gbps));
+          job.id, job.UncongestedRuntime(config_.machine.node_bandwidth_gbps));
     }
     AdvancePhase(job.id);
   }
@@ -482,12 +464,9 @@ class Engine {
     auto it = running_.find(id);
     if (it == running_.end()) return;  // finished at the same instant
     ExecState& state = it->second;
-    state.has_kill_event = false;
+    state.kill_event = 0;
     sim::SimTime now = simulator_.Now();
-    if (state.has_compute_event) {
-      simulator_.Cancel(state.compute_event);
-      state.has_compute_event = false;
-    }
+    simulator_.Cancel(std::exchange(state.compute_event, 0));
     if (state.in_io) {
       state.io_time_actual += now - state.io_request_start;
       io_scheduler_.AbortRequest(id, now);
@@ -504,8 +483,8 @@ class Engine {
     auto it = running_.find(id);
     if (it == running_.end()) return false;
     ExecState state = it->second;
-    if (state.has_compute_event) simulator_.Cancel(state.compute_event);
-    if (state.has_kill_event) simulator_.Cancel(state.kill_event);
+    simulator_.Cancel(state.compute_event);
+    simulator_.Cancel(state.kill_event);
     if (state.in_io) {
       state.io_time_actual += now - state.io_request_start;
       io_scheduler_.AbortRequest(id, now);
@@ -544,10 +523,7 @@ class Engine {
       Log(SchedEventKind::kRequeue, id, decision.eligible_time);
       // A backoff expiry wakes nobody by itself: arm a scheduling pass at
       // the eligibility time (idempotent if anything else runs one first).
-      std::uint64_t seq = next_pass_seq_++;
-      pending_passes_[seq] = PendingPass{
-          simulator_.ScheduleAt(decision.eligible_time, PassAction(seq)),
-          decision.eligible_time};
+      simulator_.ScheduleAt(decision.eligible_time, kEventOwner, kPass);
     } else {
       fault_stats_.Add(now, metrics::FaultEventKind::kAbandon, id);
       Log(SchedEventKind::kAbandon, id);
@@ -613,11 +589,9 @@ class Engine {
       ++state.next_phase;
       if (phase.kind == workload::PhaseKind::kCompute) {
         if (phase.compute_seconds <= 0) continue;  // empty phase: skip
-        state.compute_duration = phase.compute_seconds;
-        state.compute_fire_time = now + phase.compute_seconds;
-        state.compute_event = simulator_.ScheduleAt(
-            state.compute_fire_time, ComputeAction(id, phase.compute_seconds));
-        state.has_compute_event = true;
+        state.compute_event =
+            simulator_.ScheduleAt(now + phase.compute_seconds, kEventOwner,
+                                  kComputeDone, id, phase.compute_seconds);
         return;
       }
       // I/O phase.
@@ -712,7 +686,7 @@ class Engine {
     Log(killed ? SchedEventKind::kKill : SchedEventKind::kEnd, id);
     ExecState state = running_.at(id);
     running_.erase(id);
-    if (state.has_kill_event) simulator_.Cancel(state.kill_event);
+    simulator_.Cancel(state.kill_event);
     // Only jobs that ran to normal completion train the predictor: a
     // walltime-killed job's observed phases misrepresent its behaviour.
     if (!killed) io_scheduler_.ObserveCompletion(id);
@@ -889,9 +863,7 @@ class Engine {
     file.SetConfigHash(ConfigHash());
     {
       ckpt::Writer w;
-      w.F64(simulator_.Now());
-      w.U64(simulator_.processed_events());
-      w.U64(simulator_.NextEventId());
+      simulator_.SaveState(w);
       file.AddSection("sim", w.TakeBuffer());
     }
     {
@@ -975,17 +947,8 @@ class Engine {
       w.F64(s.io_request_start);
       w.F64(s.io_time_actual);
       w.Bool(s.in_io);
-      w.Bool(s.has_kill_event);
-      if (s.has_kill_event) {
-        w.U64(s.kill_event);
-        w.F64(s.kill_fire_time);
-      }
-      w.Bool(s.has_compute_event);
-      if (s.has_compute_event) {
-        w.U64(s.compute_event);
-        w.F64(s.compute_fire_time);
-        w.F64(s.compute_duration);
-      }
+      w.U64(s.kill_event);
+      w.U64(s.compute_event);
       w.U64(s.durable_phase);
       w.F64(s.durable_anchor_time);
       w.I64(s.flush_count);
@@ -1030,20 +993,6 @@ class Engine {
     // Arrival cursor: the rest of the arrivals follow from the workload.
     w.U64(first_arrival_id_);
     w.U64(next_arrival_);
-    // Pending backoff scheduling passes (std::map: already sorted).
-    w.U32(static_cast<std::uint32_t>(pending_passes_.size()));
-    for (const auto& [seq, pass] : pending_passes_) {
-      w.U64(seq);
-      w.U64(pass.event);
-      w.F64(pass.fire_time);
-    }
-    w.U64(next_pass_seq_);
-    // Sampler tick event.
-    w.Bool(has_sample_event_);
-    if (has_sample_event_) {
-      w.U64(sample_event_);
-      w.F64(sample_event_time_);
-    }
   }
 
   void RestoreEngineSection(ckpt::Reader& r) {
@@ -1069,21 +1018,10 @@ class Engine {
       s.io_request_start = r.F64();
       s.io_time_actual = r.F64();
       s.in_io = r.Bool();
-      s.has_kill_event = r.Bool();
-      if (s.has_kill_event) {
-        s.kill_event = r.U64();
-        s.kill_fire_time = r.F64();
-        simulator_.ScheduleReserved(s.kill_fire_time, s.kill_event,
-                                    KillAction(id));
-      }
-      s.has_compute_event = r.Bool();
-      if (s.has_compute_event) {
-        s.compute_event = r.U64();
-        s.compute_fire_time = r.F64();
-        s.compute_duration = r.F64();
-        simulator_.ScheduleReserved(s.compute_fire_time, s.compute_event,
-                                    ComputeAction(id, s.compute_duration));
-      }
+      s.kill_event = r.U64();
+      s.compute_event = r.U64();
+      simulator_.RequirePending(s.kill_event, "engine");
+      simulator_.RequirePending(s.compute_event, "engine");
       s.durable_phase = static_cast<std::size_t>(r.U64());
       s.durable_anchor_time = r.F64();
       s.flush_count = static_cast<int>(r.I64());
@@ -1133,32 +1071,23 @@ class Engine {
           std::to_string(next_arrival_) + " is past the workload's " +
           std::to_string(jobs_.size()) + " jobs");
     }
+    r.ExpectEnd();
+    // The simulator restored the armed arrival: it must be the cursor's.
     BuildArrivalOrder();
-    ArmNextArrival();
-    n = r.U32();
-    for (std::uint32_t i = 0; i < n; ++i) {
-      std::uint64_t seq = r.U64();
-      PendingPass pass;
-      pass.event = r.U64();
-      pass.fire_time = r.F64();
-      simulator_.ScheduleReserved(pass.fire_time, pass.event, PassAction(seq));
-      pending_passes_.emplace(seq, pass);
+    if (next_arrival_ < arrival_order_.size()) {
+      simulator_.RequirePending(
+          first_arrival_id_ + arrival_order_[next_arrival_], "engine arrival");
     }
-    next_pass_seq_ = r.U64();
-    has_sample_event_ = r.Bool();
-    if (has_sample_event_) {
-      sample_event_ = r.U64();
-      sample_event_time_ = r.F64();
-      if (hub_ == nullptr || hub_->options().sample_dt_seconds <= 0) {
+    const bool sampling =
+        hub_ != nullptr && hub_->options().sample_dt_seconds > 0;
+    for (const sim::Event& e : simulator_.PendingEvents()) {
+      if (e.owner == kEventOwner && e.kind == kSampleTick && !sampling) {
         throw ckpt::ConfigMismatchError(
             "checkpoint engine: a sampler tick is pending but the resumed "
             "run has no sampler (pass a hub built from the same obs "
             "options)");
       }
-      simulator_.ScheduleReserved(sample_event_time_, sample_event_,
-                                  SampleAction());
     }
-    r.ExpectEnd();
   }
 
   void RestoreFrom(const ckpt::CheckpointFile& file,
@@ -1196,11 +1125,8 @@ class Engine {
     }
     {
       ckpt::Reader r(file.Section("sim"), "sim");
-      sim::SimTime now = r.F64();
-      std::uint64_t processed = r.U64();
-      sim::EventId next_id = r.U64();
+      simulator_.RestoreState(r);
       r.ExpectEnd();
-      simulator_.RestoreClock(now, processed, next_id);
     }
     {
       ckpt::Reader r(file.Section("machine"), "machine");
@@ -1313,18 +1239,6 @@ class Engine {
   /// (== size once every job has arrived).
   std::size_t next_arrival_ = 0;
   // --- Checkpoint bookkeeping ----------------------------------------------
-  /// A not-yet-fired backoff scheduling pass (armed by FailJob).
-  struct PendingPass {
-    sim::EventId event = 0;
-    sim::SimTime fire_time = 0.0;
-  };
-  /// Keyed by an ever-increasing sequence so concurrent backoffs coexist.
-  std::map<std::uint64_t, PendingPass> pending_passes_;
-  std::uint64_t next_pass_seq_ = 0;
-  /// The single pending sampler tick (obs runs only).
-  sim::EventId sample_event_ = 0;
-  sim::SimTime sample_event_time_ = 0.0;
-  bool has_sample_event_ = false;
   /// Lazily built (job id, workload index), sorted by id (restore +
   /// duplicate-id validation).
   std::vector<std::pair<workload::JobId, std::uint32_t>> job_index_;

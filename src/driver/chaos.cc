@@ -3,6 +3,8 @@
 #include <cstdlib>
 #include <exception>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -178,24 +180,42 @@ class ScratchDir {
   std::string path_;
 };
 
-/// Resume `first`'s run from one of the checkpoints it saved in `dir`,
-/// picked by the cell's seed, and require the same record digest and
-/// bandwidth summary. Records the pick in `cell` and returns "" or the
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+/// Resume `first`'s run from one of the checkpoints it saved (with
+/// `saving`), picked by the cell's seed, and require the same record digest
+/// and bandwidth summary. The resumed run saves at the same cadence into a
+/// second directory; its first checkpoint must be byte-identical to the
+/// first run's next one. Records the pick in `cell` and returns "" or the
 /// failure.
 std::string CheckResume(const Scenario& scenario, const ChaosOptions& options,
-                        const CellRun& first, const std::string& dir,
+                        const CellRun& first, const ckpt::Options& saving,
                         ChaosCell& cell) {
-  auto checkpoints = ckpt::ListCheckpoints(dir);
+  auto checkpoints = ckpt::ListCheckpoints(saving.directory);
   if (checkpoints.empty()) return "";
   util::Rng rng(cell.seed, kChaosResumeStream);
-  const auto& [sequence, path] = checkpoints[static_cast<std::size_t>(
-      rng.UniformInt(0, static_cast<std::int64_t>(checkpoints.size()) - 1))];
+  const std::size_t pick = static_cast<std::size_t>(
+      rng.UniformInt(0, static_cast<std::int64_t>(checkpoints.size()) - 1));
+  const auto& [sequence, path] = checkpoints[pick];
   cell.resume_checkpoint = sequence;
-  ckpt::Options resume;
+  ScratchDir resaved;
+  ckpt::Options resume = saving;
+  resume.directory = resaved.path();
   resume.resume_from = path;
   CellRun resumed = ExecuteOnce(scenario, cell.policy, options, resume);
   std::string where = "resume from checkpoint " + std::to_string(sequence);
   if (!resumed.error.empty()) return where + " failed: " + resumed.error;
+  auto resaved_files = ckpt::ListCheckpoints(resaved.path());
+  if (pick + 1 < checkpoints.size() &&
+      (resaved_files.empty() ||
+       ReadBytes(resaved_files.front().second) !=
+           ReadBytes(checkpoints[pick + 1].second))) {
+    return where + ": its first checkpoint differs from checkpoint " +
+           std::to_string(checkpoints[pick + 1].first);
+  }
   if (resumed.digest != first.digest) {
     return where + ": record digest differs";
   }
@@ -264,8 +284,7 @@ ChaosSummary RunChaos(const ChaosOptions& options) {
           } else if (second.digest != first.digest) {
             cell.reproducible = false;
           } else {
-            cell.error = CheckResume(scenario, options, first, dir->path(),
-                                     cell);
+            cell.error = CheckResume(scenario, options, first, saving, cell);
           }
         }
       }

@@ -9,8 +9,10 @@
 // invariant violation, engine error, watchdog abort (stuck run), or — when
 // reproducibility verification is on — a same-seed re-run whose per-job
 // record digest differs, or a resume from one of the run's own checkpoints
-// (picked by the seed) whose record digest or bandwidth summary differs. The soak is the robustness gate: tools/
-// chaos_soak.sh and the CI chaos job both funnel through RunChaos.
+// (picked by the seed) whose record digest or bandwidth summary differs, or
+// whose first checkpoint is not byte-identical to the run's next one. The
+// soak is the robustness gate: tools/chaos_soak.sh and the CI chaos job
+// both funnel through RunChaos.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +33,8 @@ struct ChaosOptions {
   std::vector<std::string> policies;
   /// Re-run each cell with the same seed and require a bit-identical
   /// record digest. Also save checkpoints in the first run and resume from
-  /// one of them, requiring the same digest and bandwidth summary.
+  /// one of them, requiring the same digest and bandwidth summary, and a
+  /// first re-saved checkpoint byte-identical to the run's next one.
   bool verify_reproducible = true;
   /// Invariant sweep cadence (processed events).
   std::uint64_t invariant_check_every_events = 64;

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
+
+#include "ckpt/checkpoint.h"
 
 namespace iosched::faults {
 
@@ -41,6 +44,35 @@ FaultInjector::FaultInjector(sim::Simulator& simulator, FaultPlan plan,
     throw std::invalid_argument(
         "FaultInjector: plan degrades the drain but no drain hook");
   }
+  simulator_.SetHandler(kEventOwner, this, kEventKinds);
+}
+
+FaultInjector::~FaultInjector() {
+  simulator_.SetHandler(kEventOwner, nullptr, 0);
+}
+
+void FaultInjector::OnEvent(const sim::Event& event) {
+  const workload::JobId id = event.key;
+  const sim::SimTime now = event.time;
+  switch (static_cast<EventKind>(event.kind)) {
+    case kEdge:
+      FireEdge(static_cast<std::size_t>(event.key));
+      break;
+    case kRandomKill:
+      pending_kills_.erase(id);
+      if (hooks_.kill_job(id, now) && stats_ != nullptr) {
+        stats_->Add(now, metrics::FaultEventKind::kJobKill, id);
+      }
+      break;
+    case kMtbfFailure:
+      pending_failures_.erase(id);
+      if (hooks_.kill_job(id, now) && stats_ != nullptr) {
+        stats_->Add(now, metrics::FaultEventKind::kMtbfFailure, id);
+        stats_->Add(now, metrics::FaultEventKind::kJobKill, id);
+      }
+      break;
+    case kEventKinds: break;  // restore rejects unknown kinds
+  }
 }
 
 std::size_t FaultInjector::EdgeCount() const {
@@ -71,45 +103,29 @@ sim::SimTime FaultInjector::EdgeTime(std::size_t edge) const {
   return (k % 2 == 0) ? d.start : d.end;
 }
 
-std::function<void()> FaultInjector::EdgeAction(std::size_t edge) {
-  // The closure erases its own pending entry first, so the checkpoint's
-  // pending set is exactly the not-yet-fired edges.
+void FaultInjector::FireEdge(std::size_t edge) {
+  // Every edge-kind block has even size, so global parity identifies start
+  // edges.
+  const bool begin = edge % 2 == 0;
   std::size_t degradation_edges = 2 * plan_.degradations.size();
   if (edge < degradation_edges) {
-    double factor = plan_.degradations[edge / 2].bandwidth_factor;
-    bool begin = edge % 2 == 0;
-    return [this, edge, factor, begin] {
-      pending_edges_.erase(edge);
-      OnDegradationEdge(factor, begin);
-    };
+    OnDegradationEdge(plan_.degradations[edge / 2].bandwidth_factor, begin);
+    return;
   }
   std::size_t k = edge - degradation_edges;
   std::size_t outage_edges = 2 * plan_.outages.size();
   if (k < outage_edges) {
-    int midplane = plan_.outages[k / 2].midplane;
-    bool begin = k % 2 == 0;
-    return [this, edge, midplane, begin] {
-      pending_edges_.erase(edge);
-      OnOutageEdge(midplane, begin);
-    };
+    OnOutageEdge(plan_.outages[k / 2].midplane, begin);
+    return;
   }
   k -= outage_edges;
   std::size_t bb_edges = 2 * plan_.bb_faults.size();
   if (k < bb_edges) {
-    bool lose_data = plan_.bb_faults[k / 2].lose_data;
-    bool begin = k % 2 == 0;
-    return [this, edge, lose_data, begin] {
-      pending_edges_.erase(edge);
-      OnBbFaultEdge(lose_data, begin);
-    };
+    OnBbFaultEdge(plan_.bb_faults[k / 2].lose_data, begin);
+    return;
   }
   k -= bb_edges;
-  double factor = plan_.drain_degradations[k / 2].drain_factor;
-  bool begin = k % 2 == 0;
-  return [this, edge, factor, begin] {
-    pending_edges_.erase(edge);
-    OnDrainEdge(factor, begin);
-  };
+  OnDrainEdge(plan_.drain_degradations[k / 2].drain_factor, begin);
 }
 
 void FaultInjector::Arm() {
@@ -135,8 +151,8 @@ void FaultInjector::Arm() {
     return a < b;
   });
   for (std::size_t edge : order) {
-    pending_edges_[edge] =
-        simulator_.ScheduleAt(EdgeTime(edge), EdgeAction(edge));
+    simulator_.ScheduleAt(EdgeTime(edge), kEventOwner, kEdge,
+                          static_cast<std::int64_t>(edge));
   }
 }
 
@@ -259,28 +275,7 @@ void FaultInjector::OnOutageEdge(int midplane, bool begin) {
   }
 }
 
-std::function<void()> FaultInjector::KillAction(workload::JobId id) {
-  return [this, id] {
-    pending_kills_.erase(id);
-    if (hooks_.kill_job(id, simulator_.Now()) && stats_ != nullptr) {
-      stats_->Add(simulator_.Now(), metrics::FaultEventKind::kJobKill, id);
-    }
-  };
-}
-
-std::function<void()> FaultInjector::FailureAction(workload::JobId id) {
-  return [this, id] {
-    pending_failures_.erase(id);
-    sim::SimTime now = simulator_.Now();
-    if (hooks_.kill_job(id, now) && stats_ != nullptr) {
-      stats_->Add(now, metrics::FaultEventKind::kMtbfFailure, id);
-      stats_->Add(now, metrics::FaultEventKind::kJobKill, id);
-    }
-  };
-}
-
-void FaultInjector::OnJobStart(workload::JobId id, sim::SimTime now,
-                               double expected_runtime) {
+void FaultInjector::OnJobStart(workload::JobId id, double expected_runtime) {
   if (plan_.job_mtbf_seconds > 0) {
     // Memoryless per-attempt failure process: exponential time-to-failure
     // with mean MTBF, drawn once per attempt in deterministic job-start
@@ -289,8 +284,8 @@ void FaultInjector::OnJobStart(workload::JobId id, sim::SimTime now,
     // exposed to late failures; OnJobStop cancels the event if the attempt
     // finishes first.
     double ttf = mtbf_rng_.Exponential(1.0 / plan_.job_mtbf_seconds);
-    sim::EventId event = simulator_.ScheduleAfter(ttf, FailureAction(id));
-    pending_failures_[id] = PendingKill{event, now + ttf};
+    pending_failures_[id] =
+        simulator_.ScheduleAfter(ttf, kEventOwner, kMtbfFailure, id);
   }
   if (plan_.job_kill_probability <= 0) return;
   // One Bernoulli per attempt keeps the draw sequence aligned with the
@@ -298,21 +293,21 @@ void FaultInjector::OnJobStart(workload::JobId id, sim::SimTime now,
   if (!kill_rng_.Bernoulli(plan_.job_kill_probability)) return;
   double at = std::max(0.0, expected_runtime) *
               kill_rng_.Uniform(0.05, 0.95);
-  sim::EventId event = simulator_.ScheduleAfter(at, KillAction(id));
   // A retry attempt replaces any stale entry (the old event already fired —
   // that is what caused the retry).
-  pending_kills_[id] = PendingKill{event, now + at};
+  pending_kills_[id] =
+      simulator_.ScheduleAfter(at, kEventOwner, kRandomKill, id);
 }
 
 void FaultInjector::OnJobStop(workload::JobId id) {
   auto failure = pending_failures_.find(id);
   if (failure != pending_failures_.end()) {
-    simulator_.Cancel(failure->second.event);
+    simulator_.Cancel(failure->second);
     pending_failures_.erase(failure);
   }
   auto it = pending_kills_.find(id);
   if (it == pending_kills_.end()) return;
-  simulator_.Cancel(it->second.event);
+  simulator_.Cancel(it->second);
   pending_kills_.erase(it);
 }
 
@@ -346,20 +341,13 @@ void FaultInjector::SaveState(ckpt::Writer& w) const {
     w.I64(midplane);
     w.I64(count);
   }
-  w.U32(static_cast<std::uint32_t>(pending_edges_.size()));
-  for (const auto& [edge, event] : pending_edges_) {
-    w.U64(edge);
-    w.U64(event);
-  }
-  std::vector<std::pair<workload::JobId, PendingKill>> kills(
+  std::vector<std::pair<workload::JobId, sim::EventId>> kills(
       pending_kills_.begin(), pending_kills_.end());
-  std::sort(kills.begin(), kills.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::sort(kills.begin(), kills.end());
   w.U32(static_cast<std::uint32_t>(kills.size()));
-  for (const auto& [id, kill] : kills) {
+  for (const auto& [id, event] : kills) {
     w.I64(id);
-    w.U64(kill.event);
-    w.F64(kill.fire_time);
+    w.U64(event);
   }
   // Storage-tier fault state (appended so the layout above is unchanged).
   util::Rng::State straggler = straggler_rng_.SaveState();
@@ -385,15 +373,13 @@ void FaultInjector::SaveState(ckpt::Writer& w) const {
     w.U64(mtbf.engine.inc);
     w.Bool(mtbf.has_spare);
     w.F64(mtbf.spare);
-    std::vector<std::pair<workload::JobId, PendingKill>> failures(
+    std::vector<std::pair<workload::JobId, sim::EventId>> failures(
         pending_failures_.begin(), pending_failures_.end());
-    std::sort(failures.begin(), failures.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
+    std::sort(failures.begin(), failures.end());
     w.U32(static_cast<std::uint32_t>(failures.size()));
-    for (const auto& [id, failure] : failures) {
+    for (const auto& [id, event] : failures) {
       w.I64(id);
-      w.U64(failure.event);
-      w.F64(failure.fire_time);
+      w.U64(event);
     }
   }
 }
@@ -421,27 +407,25 @@ void FaultInjector::RestoreState(ckpt::Reader& r) {
     int midplane = static_cast<int>(r.I64());
     active_outages_[midplane] = static_cast<int>(r.I64());
   }
-  std::uint32_t edges = r.U32();
-  for (std::uint32_t i = 0; i < edges; ++i) {
-    std::size_t edge = static_cast<std::size_t>(r.U64());
-    sim::EventId event = r.U64();
-    if (edge >= EdgeCount()) {
-      throw std::runtime_error(
-          "FaultInjector::RestoreState: plan edge index out of range "
-          "(checkpoint does not match this fault plan)");
+  for (const sim::Event& e : simulator_.PendingEvents()) {
+    if (e.owner == kEventOwner && e.kind == kEdge &&
+        (e.key < 0 || static_cast<std::size_t>(e.key) >= EdgeCount())) {
+      throw ckpt::FormatError(
+          "checkpoint faults: plan edge index out of range (checkpoint "
+          "does not match this fault plan)");
     }
-    pending_edges_[edge] = event;
-    simulator_.ScheduleReserved(EdgeTime(edge), event, EdgeAction(edge));
   }
-  std::uint32_t kills = r.U32();
-  for (std::uint32_t i = 0; i < kills; ++i) {
-    workload::JobId id = r.I64();
-    PendingKill kill;
-    kill.event = r.U64();
-    kill.fire_time = r.F64();
-    pending_kills_[id] = kill;
-    simulator_.ScheduleReserved(kill.fire_time, kill.event, KillAction(id));
-  }
+  auto read_pending = [this, &r](
+      std::unordered_map<workload::JobId, sim::EventId>& into) {
+    std::uint32_t n = r.U32();
+    for (std::uint32_t i = 0; i < n; ++i) {
+      workload::JobId id = r.I64();
+      sim::EventId event = r.U64();
+      simulator_.RequirePending(event, "faults");
+      into[id] = event;
+    }
+  };
+  read_pending(pending_kills_);
   util::Rng::State straggler;
   straggler.engine.state = r.U64();
   straggler.engine.inc = r.U64();
@@ -462,16 +446,7 @@ void FaultInjector::RestoreState(ckpt::Reader& r) {
     mtbf.has_spare = r.Bool();
     mtbf.spare = r.F64();
     mtbf_rng_.RestoreState(mtbf);
-    std::uint32_t failures = r.U32();
-    for (std::uint32_t i = 0; i < failures; ++i) {
-      workload::JobId id = r.I64();
-      PendingKill failure;
-      failure.event = r.U64();
-      failure.fire_time = r.F64();
-      pending_failures_[id] = failure;
-      simulator_.ScheduleReserved(failure.fire_time, failure.event,
-                                  FailureAction(id));
-    }
+    read_pending(pending_failures_);
   }
 }
 

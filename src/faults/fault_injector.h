@@ -1,8 +1,9 @@
 // Fault injection over the discrete-event simulator.
 //
 // The injector owns no model state: it schedules the plan's fault and repair
-// events on the Simulator and applies them through hook callbacks provided
-// by the engine (scale storage bandwidth, fault/repair a midplane, kill a
+// events on the Simulator (plain data under its own owner tag, dispatched
+// by OnEvent) and applies them through hook callbacks provided by the
+// engine (scale storage bandwidth, fault/repair a midplane, kill a
 // running job). Probabilistic mid-run kills are drawn per job attempt from a
 // dedicated PCG stream, so a (plan, workload) pair replays bit-identically:
 // the draw order is the deterministic job-start order of the simulation.
@@ -10,7 +11,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <unordered_map>
 
 #include "ckpt/serializer.h"
@@ -47,22 +47,27 @@ struct FaultHooks {
   std::function<void(double factor, sim::SimTime now)> set_drain_factor;
 };
 
-class FaultInjector {
+class FaultInjector : private sim::EventHandler {
  public:
   /// `simulator` must outlive the injector; `stats` may be null. Throws
   /// std::invalid_argument when the plan fails Validate() or a hook needed
   /// by the plan is missing.
   FaultInjector(sim::Simulator& simulator, FaultPlan plan, FaultHooks hooks,
                 metrics::FaultStats* stats = nullptr);
+  ~FaultInjector();
+  FaultInjector(const FaultInjector&) = delete;
+  FaultInjector& operator=(const FaultInjector&) = delete;
+
+  /// Owner tag of the injector's events on the simulator.
+  static constexpr sim::Owner kEventOwner = 3;
 
   /// Schedule every planned fault/repair event. Call once, before Run().
   void Arm();
 
-  /// Notify that a job attempt started; draws the (seeded) kill decision
-  /// and schedules the kill event inside (5%, 95%) of `expected_runtime`.
-  /// Each retry attempt draws independently.
-  void OnJobStart(workload::JobId id, sim::SimTime now,
-                  double expected_runtime);
+  /// Notify that a job attempt started now; draws the (seeded) kill
+  /// decision and schedules the kill event inside (5%, 95%) of
+  /// `expected_runtime`. Each retry attempt draws independently.
+  void OnJobStart(workload::JobId id, double expected_runtime);
 
   /// Notify that a job left the machine (finished, walltime-killed, or
   /// fault-killed); cancels its pending kill event, if any.
@@ -89,18 +94,29 @@ class FaultInjector {
 
   const FaultPlan& plan() const { return plan_; }
 
-  /// Serialize runtime state: RNG stream position, active windows, the
-  /// not-yet-fired plan edges and pending kill events (with their original
-  /// event ids and firing times). The plan itself is NOT saved — it is
-  /// rebuilt deterministically from the run config, which the checkpoint's
-  /// config hash pins.
+  /// Serialize runtime state: RNG stream positions, active windows, and
+  /// the ids of pending kill events (the events themselves, plan edges
+  /// included, are in the simulator's state). The plan itself is NOT saved
+  /// — it is rebuilt deterministically from the run config, which the
+  /// checkpoint's config hash pins.
   void SaveState(ckpt::Writer& w) const;
   /// Restore onto a freshly constructed (un-armed) injector built from the
-  /// identical plan; re-arms the saved events under their original ids.
-  /// Replaces the Arm() call for a resumed run.
+  /// identical plan, after the simulator restored its pending events.
+  /// Replaces the Arm() call for a resumed run. Throws ckpt::FormatError
+  /// for a saved kill id that is not pending or a pending plan edge the
+  /// plan does not have.
   void RestoreState(ckpt::Reader& r);
 
  private:
+  /// The injector's event kinds (sim::Event::kind under kEventOwner).
+  enum EventKind : sim::Kind {
+    kEdge,         // key: canonical plan-edge index
+    kRandomKill,   // key: job id (probabilistic mid-run kill)
+    kMtbfFailure,  // key: job id (MTBF failure process)
+    kEventKinds
+  };
+  void OnEvent(const sim::Event& event) override;
+
   void OnDegradationEdge(double factor, bool begin);
   void OnOutageEdge(int midplane, bool begin);
   void OnBbFaultEdge(bool lose_data, bool begin);
@@ -111,23 +127,14 @@ class FaultInjector {
   void ApplyDrainFactor();
   void AccrueDegradedTime(sim::SimTime now);
 
-  /// Plan edges are enumerated canonically for checkpointing: index 2i /
-  /// 2i+1 are degradation i's start/end, then outage edges follow at offset
+  /// Plan edges are enumerated canonically: index 2i / 2i+1 are
+  /// degradation i's start/end, then outage edges follow at offset
   /// 2 * degradations.size(), then burst-buffer fault edges, then
-  /// drain-degradation edges. Firing time and action are derived from the
-  /// plan, so a checkpoint stores only (edge index, event id).
+  /// drain-degradation edges. Firing time and effect are derived from the
+  /// plan, so an edge event carries only its index.
   std::size_t EdgeCount() const;
   sim::SimTime EdgeTime(std::size_t edge) const;
-  std::function<void()> EdgeAction(std::size_t edge);
-
-  /// A pending probabilistic kill: the scheduled event and its firing time
-  /// (needed to re-arm the closure on restore).
-  struct PendingKill {
-    sim::EventId event = 0;
-    sim::SimTime fire_time = 0.0;
-  };
-  std::function<void()> KillAction(workload::JobId id);
-  std::function<void()> FailureAction(workload::JobId id);
+  void FireEdge(std::size_t edge);
 
   sim::Simulator& simulator_;
   FaultPlan plan_;
@@ -149,14 +156,12 @@ class FaultInjector {
   /// Active outage count per midplane (overlapping outages must not
   /// double-repair).
   std::unordered_map<int, int> active_outages_;
-  std::unordered_map<workload::JobId, PendingKill> pending_kills_;
+  /// Pending probabilistic kill event per job.
+  std::unordered_map<workload::JobId, sim::EventId> pending_kills_;
   /// Pending MTBF failures (one per running attempt while the MTBF process
   /// is enabled; the event may outlive the attempt's expected runtime and
   /// is cancelled by OnJobStop).
-  std::unordered_map<workload::JobId, PendingKill> pending_failures_;
-  /// Not-yet-fired plan edges: canonical edge index -> scheduled event id.
-  /// Ordered so checkpoint bytes are deterministic.
-  std::map<std::size_t, sim::EventId> pending_edges_;
+  std::unordered_map<workload::JobId, sim::EventId> pending_failures_;
   sim::SimTime last_factor_change_ = 0.0;
   bool armed_ = false;
 };

@@ -5,38 +5,32 @@
 
 namespace iosched::sim {
 
-EventId EventQueue::Push(SimTime time, std::function<void()> action) {
+EventId EventQueue::Push(SimTime time, Owner owner, Kind kind,
+                         std::int64_t key, double arg) {
   EventId id = next_id_++;
-  heap_.push_back(Entry{time, id});
+  heap_.push_back(Event{time, id, owner, kind, key, arg});
   std::push_heap(heap_.begin(), heap_.end(), Later);
-  actions_.emplace(id, std::move(action));
+  live_.insert(id);
   return id;
 }
 
 bool EventQueue::Cancel(EventId id) {
-  auto it = actions_.find(id);
-  if (it == actions_.end()) return false;
-  actions_.erase(it);
-  cancelled_.insert(id);
-  if (cancelled_.size() >= kCompactionMinCancelled &&
-      cancelled_.size() > actions_.size()) {
+  if (live_.erase(id) == 0) return false;
+  std::size_t cancelled = heap_.size() - live_.size();
+  if (cancelled >= kCompactionMinCancelled && cancelled > live_.size()) {
     Compact();
   }
   return true;
 }
 
 void EventQueue::Compact() {
-  if (cancelled_.empty()) return;
-  std::erase_if(heap_, [this](const Entry& e) {
-    return cancelled_.find(e.id) != cancelled_.end();
-  });
+  if (heap_.size() == live_.size()) return;
+  std::erase_if(heap_, [this](const Event& e) { return !Contains(e.id); });
   std::make_heap(heap_.begin(), heap_.end(), Later);
-  cancelled_.clear();
 }
 
 void EventQueue::DropCancelledHead() const {
-  while (!heap_.empty() && cancelled_.count(heap_.front().id)) {
-    cancelled_.erase(heap_.front().id);
+  while (!heap_.empty() && !Contains(heap_.front().id)) {
     std::pop_heap(heap_.begin(), heap_.end(), Later);
     heap_.pop_back();
   }
@@ -51,13 +45,22 @@ SimTime EventQueue::PeekTime() const {
 Event EventQueue::Pop() {
   DropCancelledHead();
   if (heap_.empty()) throw std::logic_error("EventQueue::Pop on empty");
-  Entry top = heap_.front();
   std::pop_heap(heap_.begin(), heap_.end(), Later);
+  Event top = heap_.back();
   heap_.pop_back();
-  auto it = actions_.find(top.id);
-  Event ev{top.time, top.id, std::move(it->second)};
-  actions_.erase(it);
-  return ev;
+  live_.erase(top.id);
+  return top;
+}
+
+std::vector<Event> EventQueue::Pending() const {
+  std::vector<Event> pending;
+  pending.reserve(live_.size());
+  for (const Event& e : heap_) {
+    if (Contains(e.id)) pending.push_back(e);
+  }
+  std::sort(pending.begin(), pending.end(),
+            [](const Event& a, const Event& b) { return Later(b, a); });
+  return pending;
 }
 
 EventId EventQueue::ReserveIds(std::size_t n) {
@@ -66,22 +69,21 @@ EventId EventQueue::ReserveIds(std::size_t n) {
   return first;
 }
 
-void EventQueue::PushReserved(SimTime time, EventId id,
-                              std::function<void()> action) {
-  if (id == 0 || id >= next_id_) {
+void EventQueue::PushReserved(const Event& event) {
+  if (event.id == 0 || event.id >= next_id_) {
     throw std::logic_error(
         "EventQueue::PushReserved: id was never handed out (reserve it or "
         "restore the id counter first)");
   }
-  if (!actions_.emplace(id, std::move(action)).second) {
+  if (!live_.insert(event.id).second) {
     throw std::logic_error("EventQueue::PushReserved: duplicate id");
   }
-  heap_.push_back(Entry{time, id});
+  heap_.push_back(event);
   std::push_heap(heap_.begin(), heap_.end(), Later);
 }
 
 void EventQueue::SetNextId(EventId next_id) {
-  if (!actions_.empty() || !heap_.empty()) {
+  if (!live_.empty() || !heap_.empty()) {
     throw std::logic_error("EventQueue::SetNextId on a non-empty queue");
   }
   if (next_id == 0) throw std::logic_error("EventQueue::SetNextId: id 0");
@@ -90,8 +92,7 @@ void EventQueue::SetNextId(EventId next_id) {
 
 void EventQueue::Clear() {
   heap_.clear();
-  cancelled_.clear();
-  actions_.clear();
+  live_.clear();
 }
 
 }  // namespace iosched::sim

@@ -1,6 +1,9 @@
 // Cancellable priority event queue: the core data structure of the
 // discrete-event engine.
 //
+// Events are plain data (see Event): the queue never holds code, so its
+// pending set can be copied out and saved like any other state.
+//
 // Cancellation is lazy: cancelled entries stay in the heap and are skipped
 // on pop. This keeps Cancel() O(1) and is the standard technique for
 // simulators whose I/O-completion events are frequently rescheduled when
@@ -12,9 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -25,19 +25,33 @@ namespace iosched::sim {
 /// Identifier returned by Push; usable to Cancel the event later.
 using EventId = std::uint64_t;
 
-/// A schedulable event: time, FIFO tie-break sequence, action.
+/// The component an event belongs to. The simulator hands each event to
+/// the handler registered for its owner.
+using Owner = std::uint8_t;
+
+/// An owner-defined event type.
+using Kind = std::uint8_t;
+
+/// A schedulable event: firing time, FIFO tie-break id, and what the event
+/// means to its owner. `key` names the subject (a job id, a fault-plan edge)
+/// and `arg` carries a value (a duration); both are 0 when unused.
 struct Event {
   SimTime time = 0.0;
   EventId id = 0;
-  std::function<void()> action;
+  Owner owner = 0;
+  Kind kind = 0;
+  std::int64_t key = 0;
+  double arg = 0.0;
 };
 
 class EventQueue {
  public:
   EventQueue() = default;
 
-  /// Schedule `action` at `time`. Events at equal time pop in push order.
-  EventId Push(SimTime time, std::function<void()> action);
+  /// Schedule an event at `time` under the next id. Events at equal time
+  /// pop in push order.
+  EventId Push(SimTime time, Owner owner, Kind kind, std::int64_t key = 0,
+               double arg = 0.0);
 
   /// Cancel a pending event. Returns false if the event already ran, was
   /// already cancelled, or never existed. May compact the heap (see
@@ -45,10 +59,13 @@ class EventQueue {
   bool Cancel(EventId id);
 
   /// True when no live (non-cancelled) events remain.
-  bool Empty() const { return actions_.empty(); }
+  bool Empty() const { return live_.empty(); }
 
   /// Number of live events.
-  std::size_t Size() const { return actions_.size(); }
+  std::size_t Size() const { return live_.size(); }
+
+  /// True while event `id` is live (pushed, not yet popped or cancelled).
+  bool Contains(EventId id) const { return live_.count(id) != 0; }
 
   /// Entries physically in the heap: live plus not-yet-purged cancelled
   /// ones. Exposed so tests can assert compaction bounds the heap.
@@ -59,6 +76,9 @@ class EventQueue {
 
   /// Pop and return the next live event. Precondition: !Empty().
   Event Pop();
+
+  /// Every live event in pop order, (time, id).
+  std::vector<Event> Pending() const;
 
   /// Remove every pending event.
   void Clear();
@@ -82,15 +102,14 @@ class EventQueue {
   /// schedule (the workload's arrivals) keep only its next event armed.
   EventId ReserveIds(std::size_t n);
 
-  /// Insert an event under an id handed out earlier, by ReserveIds or by a
-  /// saved run (checkpoint restore, after SetNextId). Pop order is
+  /// Insert `event` under its own id, handed out earlier by ReserveIds or
+  /// by a saved run (checkpoint restore, after SetNextId). Pop order is
   /// (time, id) and ids encode FIFO push order, so arming an event under
   /// its reserved id reproduces the pop sequence an immediate Push would
   /// have had; on restore, recreating every live event with its saved id
-  /// reproduces the pre-checkpoint sequence (lazily-cancelled entries are
-  /// simply not recreated). Throws if `id` was never handed out or is
-  /// already pending.
-  void PushReserved(SimTime time, EventId id, std::function<void()> action);
+  /// reproduces the pre-checkpoint sequence. Each id may be armed once.
+  /// Throws if the id was never handed out or is already pending.
+  void PushReserved(const Event& event);
 
   /// Restore the id counter so post-restore Push calls continue the saved
   /// id sequence (ids are the FIFO tie-break; reusing one would reorder
@@ -101,22 +120,19 @@ class EventQueue {
   EventId next_id() const { return next_id_; }
 
  private:
-  struct Entry {
-    SimTime time;
-    EventId id;
-  };
   // std::push_heap-style comparator; "greater" ordering yields a min-heap
   // on (time, id): earlier time first, FIFO within a timestamp.
-  static bool Later(const Entry& a, const Entry& b) {
+  static bool Later(const Event& a, const Event& b) {
     if (a.time != b.time) return a.time > b.time;
     return a.id > b.id;
   }
 
   void DropCancelledHead() const;
 
-  mutable std::vector<Entry> heap_;
-  mutable std::unordered_set<EventId> cancelled_;
-  std::unordered_map<EventId, std::function<void()>> actions_;
+  /// Live and lazily-cancelled entries; an entry is live while its id is in
+  /// live_, so heap_.size() - live_.size() entries await purging.
+  mutable std::vector<Event> heap_;
+  std::unordered_set<EventId> live_;
   EventId next_id_ = 1;
 };
 

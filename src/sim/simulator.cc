@@ -3,62 +3,125 @@
 #include <stdexcept>
 #include <string>
 
+#include "ckpt/checkpoint.h"
+#include "ckpt/serializer.h"
 #include "obs/metrics.h"
 #include "util/units.h"
 
 namespace iosched::sim {
 
-EventId Simulator::ScheduleAt(SimTime t, std::function<void()> action) {
+void Simulator::SetHandler(Owner owner, EventHandler* handler,
+                           Kind kind_count) {
+  Registration& slot = handlers_[owner];
+  if (handler != nullptr && slot.handler != nullptr &&
+      slot.handler != handler) {
+    throw std::logic_error("Simulator: owner " + std::to_string(owner) +
+                           " already has a handler");
+  }
+  slot = Registration{handler, handler != nullptr ? kind_count : Kind{0}};
+}
+
+EventId Simulator::ScheduleAt(SimTime t, Owner owner, Kind kind,
+                              std::int64_t key, double arg) {
   if (t < now_ - util::kTimeEpsilon) {
     throw std::logic_error("Simulator: scheduling in the past (t=" +
                            std::to_string(t) + " now=" + std::to_string(now_) +
                            ")");
   }
   if (t < now_) t = now_;
-  return queue_.Push(t, std::move(action));
+  return queue_.Push(t, owner, kind, key, arg);
 }
 
-EventId Simulator::ScheduleAfter(SimTime delay, std::function<void()> action) {
+EventId Simulator::ScheduleAfter(SimTime delay, Owner owner, Kind kind,
+                                 std::int64_t key, double arg) {
   if (delay < 0) {
     throw std::logic_error("Simulator: negative delay");
   }
-  return queue_.Push(now_ + delay, std::move(action));
+  return queue_.Push(now_ + delay, owner, kind, key, arg);
 }
 
 std::size_t Simulator::Run(SimTime until) {
   stop_requested_ = false;
   std::size_t count = 0;
-  while (!queue_.Empty() && !stop_requested_) {
-    if (queue_.PeekTime() > until) break;
-    Event ev = queue_.Pop();
-    now_ = ev.time;
-    ev.action();
-    ++processed_;
-    if (event_counter_ != nullptr) event_counter_->Inc();
+  while (!stop_requested_ && !queue_.Empty() && queue_.PeekTime() <= until) {
+    RunOne();
     ++count;
   }
   return count;
 }
 
-void Simulator::ScheduleReserved(SimTime time, EventId id,
-                                 std::function<void()> action) {
-  if (time < now_ - util::kTimeEpsilon) {
+void Simulator::ScheduleReserved(Event event) {
+  if (event.time < now_ - util::kTimeEpsilon) {
     throw std::logic_error("Simulator::ScheduleReserved: event at t=" +
-                           std::to_string(time) + " precedes now=" +
+                           std::to_string(event.time) + " precedes now=" +
                            std::to_string(now_));
   }
-  if (time < now_) time = now_;
-  queue_.PushReserved(time, id, std::move(action));
+  if (event.time < now_) event.time = now_;
+  queue_.PushReserved(event);
 }
 
 bool Simulator::RunOne() {
   if (queue_.Empty()) return false;
   Event ev = queue_.Pop();
   now_ = ev.time;
-  ev.action();
+  EventHandler* handler = handlers_[ev.owner].handler;
+  if (handler == nullptr) {
+    throw std::logic_error("Simulator: no handler for event owner " +
+                           std::to_string(ev.owner));
+  }
+  handler->OnEvent(ev);
   ++processed_;
   if (event_counter_ != nullptr) event_counter_->Inc();
   return true;
+}
+
+void Simulator::SaveState(ckpt::Writer& w) const {
+  w.F64(now_);
+  w.U64(processed_);
+  w.U64(queue_.next_id());
+  std::vector<Event> pending = queue_.Pending();
+  w.U32(static_cast<std::uint32_t>(pending.size()));
+  for (const Event& e : pending) {
+    w.F64(e.time);
+    w.U64(e.id);
+    w.U8(e.owner);
+    w.U8(e.kind);
+    w.I64(e.key);
+    w.F64(e.arg);
+  }
+}
+
+void Simulator::RestoreState(ckpt::Reader& r) {
+  now_ = r.F64();
+  processed_ = r.U64();
+  queue_.SetNextId(r.U64());
+  for (std::uint32_t n = r.U32(); n > 0; --n) {
+    // Braced initializers evaluate in order: the fields' file order.
+    Event e{r.F64(), r.U64(), r.U8(), r.U8(), r.I64(), r.F64()};
+    const Registration& slot = handlers_[e.owner];
+    try {
+      if (slot.handler == nullptr) {
+        throw std::logic_error("no component handles its owner " +
+                               std::to_string(e.owner));
+      }
+      if (e.kind >= slot.kind_count) {
+        throw std::logic_error("its owner defines no kind " +
+                               std::to_string(e.kind));
+      }
+      ScheduleReserved(e);
+    } catch (const std::logic_error& err) {
+      throw ckpt::FormatError("checkpoint sim: pending event " +
+                              std::to_string(e.id) + ": " + err.what());
+    }
+  }
+}
+
+void Simulator::RequirePending(EventId id, std::string_view holder) const {
+  if (id != 0 && !queue_.Contains(id)) {
+    throw ckpt::FormatError("checkpoint " + std::string(holder) +
+                            ": event " + std::to_string(id) +
+                            " is not pending in the sim section");
+  }
 }
 
 }  // namespace iosched::sim

@@ -1,16 +1,24 @@
 // Discrete-event simulation engine (the Qsim substrate).
 //
-// The engine owns the clock and the event queue. Model components schedule
-// closures; the engine pops them in timestamp order and advances the clock.
-// Time never moves backwards: scheduling in the past is a programming error
-// and throws.
+// The engine owns the clock and the event queue. Model components register
+// a handler for their owner tag and schedule plain-data events (sim::Event)
+// under it; the engine pops them in timestamp order, advances the clock, and
+// hands each to its owner's OnEvent. Time never moves backwards: scheduling
+// in the past is a programming error and throws.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <functional>
+#include <string_view>
+#include <vector>
 
 #include "sim/event_queue.h"
 #include "sim/time.h"
+
+namespace iosched::ckpt {
+class Reader;
+class Writer;
+}  // namespace iosched::ckpt
 
 namespace iosched::obs {
 class Counter;
@@ -18,21 +26,38 @@ class Counter;
 
 namespace iosched::sim {
 
+/// A component that receives the events scheduled under its owner tag.
+class EventHandler {
+ public:
+  virtual void OnEvent(const Event& event) = 0;
+
+ protected:
+  ~EventHandler() = default;
+};
+
 class Simulator {
  public:
   Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
+  /// Route events of `owner` to `handler`, which defines kinds
+  /// [0, kind_count). A null handler detaches. Throws if another handler
+  /// already holds the owner tag. The handler must outlive its events or
+  /// detach first.
+  void SetHandler(Owner owner, EventHandler* handler, Kind kind_count);
+
   /// Current simulated time.
   SimTime Now() const { return now_; }
 
-  /// Schedule `action` at absolute time `t` (>= Now(), tolerating a tiny
+  /// Schedule an event at absolute time `t` (>= Now(), tolerating a tiny
   /// negative float slack which is clamped to Now()).
-  EventId ScheduleAt(SimTime t, std::function<void()> action);
+  EventId ScheduleAt(SimTime t, Owner owner, Kind kind, std::int64_t key = 0,
+                     double arg = 0.0);
 
-  /// Schedule `action` after `delay` seconds (>= 0).
-  EventId ScheduleAfter(SimTime delay, std::function<void()> action);
+  /// Schedule an event after `delay` seconds (>= 0).
+  EventId ScheduleAfter(SimTime delay, Owner owner, Kind kind,
+                        std::int64_t key = 0, double arg = 0.0);
 
   /// Cancel a pending event; false if it already fired or was cancelled.
   bool Cancel(EventId id) { return queue_.Cancel(id); }
@@ -54,15 +79,12 @@ class Simulator {
   /// Number of pending events.
   std::size_t pending_events() const { return queue_.Size(); }
 
+  /// Every pending event in pop order, (time, id).
+  std::vector<Event> PendingEvents() const { return queue_.Pending(); }
+
   /// Attach an observability counter incremented once per processed event
   /// (nullptr detaches). The counter must outlive the simulator's runs.
   void SetEventCounter(obs::Counter* counter) { event_counter_ = counter; }
-
-  // --- Reserved ids: pre-planned arrivals and checkpoint restore ----------
-  // The queue's closures are unserializable; checkpoints store typed event
-  // descriptors owned by each component, which re-arm their closures via
-  // ScheduleReserved. The clock, lifetime event count, and the id counter
-  // are the simulator's own state.
 
   /// The id the next scheduled event will receive (FIFO tie-break state).
   EventId NextEventId() const { return queue_.next_id(); }
@@ -71,24 +93,40 @@ class Simulator {
   /// ScheduleReserved; returns the first.
   EventId ReserveEventIds(std::size_t n) { return queue_.ReserveIds(n); }
 
-  /// Restore clock + counters on a fresh simulator (no pending events).
-  /// `next_event_id` continues the saved id sequence so post-restore
-  /// scheduling keeps the same same-timestamp ordering.
-  void RestoreClock(SimTime now, std::uint64_t processed_events,
-                    EventId next_event_id) {
-    queue_.SetNextId(next_event_id);
-    now_ = now;
-    processed_ = processed_events;
-  }
+  /// Arm `event` under the id it carries, handed out earlier by
+  /// ReserveEventIds. Its time may not precede Now().
+  void ScheduleReserved(Event event);
 
-  /// Arm one event under an id handed out earlier (ReserveEventIds, or the
-  /// original id of a restored event). `time` may not precede Now().
-  void ScheduleReserved(SimTime time, EventId id,
-                        std::function<void()> action);
+  // --- Checkpoint ---------------------------------------------------------
+  // The clock, lifetime event count, id counter and every pending event are
+  // the simulator's own state; components keep only the ids they cancel.
+
+  /// Save the clock, counters and the pending events in (time, id) order
+  /// (lazily-cancelled entries are not saved).
+  void SaveState(ckpt::Writer& w) const;
+
+  /// Restore onto a fresh simulator whose handlers are all registered.
+  /// Each event returns under its saved id, so post-restore scheduling
+  /// continues the saved id sequence. Throws ckpt::FormatError for an
+  /// event whose owner has no handler, whose kind the owner does not
+  /// define, whose id was never handed out or repeats, or which precedes
+  /// the saved clock.
+  void RestoreState(ckpt::Reader& r);
+
+  /// Throws ckpt::FormatError naming `holder` unless `id` is pending or 0
+  /// (no event): a component restoring an event id it will later cancel
+  /// checks it here.
+  void RequirePending(EventId id, std::string_view holder) const;
 
  private:
+  struct Registration {
+    EventHandler* handler = nullptr;
+    Kind kind_count = 0;
+  };
+
   SimTime now_ = 0.0;
   EventQueue queue_;
+  std::array<Registration, 256> handlers_{};
   bool stop_requested_ = false;
   std::uint64_t processed_ = 0;
   obs::Counter* event_counter_ = nullptr;

@@ -76,6 +76,17 @@ TEST(CheckpointFile, FutureVersionIsVersionError) {
   EXPECT_THROW(CheckpointFile::Decode(bytes, "mem"), VersionError);
 }
 
+TEST(CheckpointFile, OlderVersionsAreVersionErrors) {
+  // Version 3 saved pending events inside each component's section; 1 and
+  // 2 predate the slim records and the arrival cursor. None is misread.
+  std::string bytes = MakeFile().Encode();
+  for (std::uint32_t version = 1; version < kFormatVersion; ++version) {
+    bytes[8] = static_cast<char>(version);
+    EXPECT_THROW(CheckpointFile::Decode(bytes, "mem"), VersionError)
+        << "version " << version;
+  }
+}
+
 TEST(CheckpointFile, FlippedPayloadByteIsCrcError) {
   std::string bytes = MakeFile().Encode();
   // Flip the last payload byte; headers stay intact so this must surface

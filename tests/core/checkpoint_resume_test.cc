@@ -35,6 +35,11 @@ std::string TestDir(const std::string& leaf) {
   return dir.string();
 }
 
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
 struct Case {
   const char* policy;
   bool faults;
@@ -199,12 +204,29 @@ TEST_P(CheckpointResumeTest, EveryCheckpointResumesToIdenticalRecords) {
   ASSERT_GT(checkpointed.checkpoints_written, 0u);
 
   // Pass 2: resuming from EACH snapshot reproduces the reference exactly.
+  // Each resumed run also saves at the same 60-event cadence: its first
+  // checkpoint must be byte-identical to the uninterrupted run's next one,
+  // so the restored state (pending events included) saves back unchanged.
   auto snapshots = ckpt::ListCheckpoints(dir);
   ASSERT_EQ(snapshots.size(), checkpointed.checkpoints_written);
-  for (const auto& [seq, path] : snapshots) {
+  std::string resaved_dir = TestDir(CaseSlug(GetParam()) + "_resaved");
+  for (std::size_t i = 0; i < snapshots.size(); ++i) {
+    const std::string& path = snapshots[i].second;
     core::SimulationConfig resume = config;
     resume.checkpoint.resume_from = path;
+    resume.checkpoint.directory = resaved_dir;
+    resume.checkpoint.every_events = 60;
+    resume.checkpoint.keep_last = 0;  // the first save must survive
+    fs::remove_all(resaved_dir);
     core::SimulationResult resumed = RunCase(GetParam(), resume, jobs);
+    auto resaved = ckpt::ListCheckpoints(resaved_dir);
+    if (i + 1 < snapshots.size()) {
+      ASSERT_FALSE(resaved.empty()) << "no checkpoint after " << path;
+      EXPECT_EQ(ReadBytes(resaved.front().second),
+                ReadBytes(snapshots[i + 1].second))
+          << "first checkpoint after resuming from " << path
+          << " differs from " << snapshots[i + 1].second;
+    }
     EXPECT_EQ(metrics::DigestRecords(resumed.records), reference)
         << "divergence after resuming from " << path;
     EXPECT_EQ(metrics::DigestBandwidth(resumed.bandwidth), reference_bandwidth)
@@ -311,6 +333,24 @@ TEST(CheckpointResume, EngineSectionIgnoresArrivalsStillToCome) {
   std::string base = first_engine_section(jobs, "engine_base");
   std::string extended = first_engine_section(more, "engine_more");
   EXPECT_EQ(extended.size(), base.size());
+}
+
+TEST(CheckpointResume, PendingSamplerTickNeedsASampler) {
+  // RunCase attaches a sampling hub to mixed-arrival cases, so their
+  // checkpoints hold a pending sampler tick. The hub is not part of the
+  // config, so the hash also matches a run without one; the engine must
+  // refuse that run rather than drop the tick.
+  const Case c{"BASE_LINE", false, false, false, false, true};
+  auto [config, jobs] = BuildCase(c);
+  std::string dir = TestDir("sampler_tick");
+  core::SimulationConfig saving = config;
+  saving.checkpoint.directory = dir;
+  saving.checkpoint.every_events = 300;
+  RunCase(c, saving, jobs);
+  core::SimulationConfig resume = config;
+  resume.checkpoint.resume_from = ckpt::ListCheckpoints(dir).front().second;
+  EXPECT_THROW(core::RunSimulation(resume, jobs), ckpt::ConfigMismatchError);
+  EXPECT_NO_THROW(RunCase(c, resume, jobs));
 }
 
 TEST(CheckpointResume, MismatchedConfigIsRejected) {

@@ -7,6 +7,7 @@
 #include "core/policy_factory.h"
 #include "sim/simulator.h"
 #include "storage/storage_model.h"
+#include "support/scripted_events.h"
 #include "workload/job.h"
 
 namespace iosched::core {
@@ -36,6 +37,7 @@ struct Fixture {
                   }) {}
 
   sim::Simulator simulator;
+  testing_support::ScriptedEvents script{simulator};
   storage::StorageModel storage;
   std::vector<std::pair<workload::JobId, sim::SimTime>> completions;
   IoScheduler scheduler;
@@ -92,7 +94,7 @@ TEST(IoScheduler, LateArrivalTriggersRescheduling) {
   f.scheduler.RegisterJob(a, 0.0);
   f.scheduler.RegisterJob(b, 0.0);
   f.scheduler.SubmitRequest(1, 1280.0, 0.0);
-  f.simulator.ScheduleAt(5.0, [&f] { f.scheduler.SubmitRequest(2, 320.0, 5.0); });
+  f.script.At(5.0, [&f] { f.scheduler.SubmitRequest(2, 320.0, 5.0); });
   f.simulator.Run();
   ASSERT_EQ(f.completions.size(), 2u);
   // 128 + 64 = 192 <= 250: the late job runs concurrently at full rate.
@@ -227,7 +229,7 @@ TEST(IoScheduler, BandwidthChangeReschedulesImmediately) {
   f.scheduler.SubmitRequest(1, 1280.0, 0.0);
   EXPECT_DOUBLE_EQ(f.storage.Get(1).rate_gbps, 128.0);
 
-  f.simulator.ScheduleAt(5.0, [&f] {
+  f.script.At(5.0, [&f] {
     f.storage.SetMaxBandwidth(64.0, 5.0);
     // No ForceReschedule: the rate must already be feasible against the
     // new cap when the listener returns.
@@ -245,7 +247,7 @@ TEST(IoScheduler, BandwidthChangeReschedulesImmediately) {
   g.storage.SetMaxBandwidth(64.0, 0.0);
   g.scheduler.SubmitRequest(1, 1280.0, 0.0);
   EXPECT_DOUBLE_EQ(g.storage.Get(1).rate_gbps, 64.0);
-  g.simulator.ScheduleAt(10.0, [&g] { g.storage.SetMaxBandwidth(250.0, 10.0); });
+  g.script.At(10.0, [&g] { g.storage.SetMaxBandwidth(250.0, 10.0); });
   g.simulator.Run();
   // 640 GB by t=10, then the full 128 GB/s link rate -> t=15.
   ASSERT_EQ(g.completions.size(), 1u);
@@ -263,7 +265,7 @@ TEST(IoScheduler, ManyConcurrentRequestsAllComplete) {
   for (int i = 0; i < kJobs; ++i) {
     f.scheduler.RegisterJob(jobs[i], 0.0);
     double at = 0.5 * i;
-    f.simulator.ScheduleAt(at, [&f, i, at] {
+    f.script.At(at, [&f, i, at] {
       f.scheduler.SubmitRequest(i + 1, 100.0 + i * 37.0, at);
     });
   }

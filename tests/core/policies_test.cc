@@ -8,6 +8,7 @@
 #include "core/baseline_policy.h"
 #include "core/conservative_policy.h"
 #include "core/policy_factory.h"
+#include "util/strings.h"
 
 namespace iosched::core {
 namespace {
@@ -370,6 +371,36 @@ TEST(PolicyFactory, BuildsExtensionPolicies) {
   EXPECT_EQ(MakePolicy("SJF")->name(), "SJF");
   EXPECT_EQ(MakePolicy("WSJF")->name(), "WSJF");
   EXPECT_EQ(MakePolicy("BASE_LINE_MAXMIN")->name(), "BASE_LINE_MAXMIN");
+}
+
+TEST(PolicyFactory, HelpListsExactlyTheFactoryNames) {
+  // Every name in the help text constructs under that name...
+  std::vector<std::string> help = util::Split(PolicyNamesHelp(), '|');
+  for (const std::string& name : help) {
+    EXPECT_EQ(MakePolicy(name)->name(), name);
+    EXPECT_TRUE(KnownPolicyName(name)) << name;
+  }
+  // ...and every name or alias the factory accepts builds a policy the help
+  // text lists.
+  std::vector<std::string> accepted = {
+      "BASE_LINE_MAXMIN", "maxmin", "SJF", "WSJF", "smith", "baseline",
+      "cons_fcfs", "cons-fcfs", "cons_maxutil", "cons-maxutil",
+      "cons_mininstsld", "cons_minaggrsld", "cons_predictive",
+      "predictive-adaptive", "plan-bf", "planbf"};
+  accepted.insert(accepted.end(), AllPolicyNames().begin(),
+                  AllPolicyNames().end());
+  accepted.insert(accepted.end(), PlanningPolicyNames().begin(),
+                  PlanningPolicyNames().end());
+  for (const std::string& name : accepted) {
+    std::string built = MakePolicy(name)->name();
+    EXPECT_NE(std::find(help.begin(), help.end(), built), help.end())
+        << name << " builds " << built << ", missing from the help text";
+  }
+  // The planning flag agrees with the built policy.
+  for (const std::string& name : help) {
+    EXPECT_EQ(IsPlanningPolicyName(name), MakePolicy(name)->WantsPlanning())
+        << name;
+  }
 }
 
 TEST(PolicyFactory, UnknownThrows) {

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <vector>
 
+#include "ckpt/checkpoint.h"
 #include "ckpt/serializer.h"
 #include "faults/fault_plan.h"
 #include "metrics/fault_stats.h"
@@ -259,16 +260,17 @@ TEST_F(FaultInjectorTest, MidOverlapCheckpointRestoresFactorTimeline) {
   FaultInjector victim(victim_sim, plan, RecordingHooks());
   victim.Arm();
   victim_sim.Run(250.0);
+  ckpt::Writer sim_state;
+  victim_sim.SaveState(sim_state);
   ckpt::Writer w;
   victim.SaveState(w);
-  sim::SimTime saved_now = victim_sim.Now();
-  sim::EventId saved_next = victim_sim.NextEventId();
   std::vector<FactorChange> prefix = factor_changes_;
 
   factor_changes_.clear();
   sim::Simulator resumed_sim;
-  resumed_sim.RestoreClock(saved_now, 0, saved_next);
   FaultInjector resumed(resumed_sim, plan, RecordingHooks());
+  ckpt::Reader sim_reader(sim_state.buffer());
+  resumed_sim.RestoreState(sim_reader);
   ckpt::Reader r(w.buffer());
   resumed.RestoreState(r);
   EXPECT_TRUE(r.AtEnd());
@@ -307,7 +309,7 @@ TEST_F(FaultInjectorTest, CertainKillFiresWithinRuntimeWindow) {
   plan.job_kill_probability = 1.0;
   FaultInjector injector(simulator_, plan, RecordingHooks(), &stats_);
   injector.Arm();
-  injector.OnJobStart(7, 0.0, 1000.0);
+  injector.OnJobStart(7, 1000.0);
   simulator_.Run();
 
   ASSERT_EQ(kills_.size(), 1u);
@@ -322,7 +324,7 @@ TEST_F(FaultInjectorTest, OnJobStopCancelsPendingKill) {
   plan.job_kill_probability = 1.0;
   FaultInjector injector(simulator_, plan, RecordingHooks(), &stats_);
   injector.Arm();
-  injector.OnJobStart(7, 0.0, 1000.0);
+  injector.OnJobStart(7, 1000.0);
   injector.OnJobStop(7);
   simulator_.Run();
   EXPECT_TRUE(kills_.empty());
@@ -344,7 +346,7 @@ TEST_F(FaultInjectorTest, KillScheduleIsSeedDeterministic) {
     FaultInjector injector(simulator, plan, hooks);
     injector.Arm();
     for (workload::JobId id = 1; id <= 50; ++id) {
-      injector.OnJobStart(id, 0.0, 500.0 + static_cast<double>(id));
+      injector.OnJobStart(id, 500.0 + static_cast<double>(id));
     }
     simulator.Run();
     return kills;
@@ -378,7 +380,7 @@ TEST_F(FaultInjectorTest, MtbfFailureProcessFiresExponentialDraws) {
   FaultInjector injector(simulator_, plan, RecordingHooks(), &stats_);
   injector.Arm();
   for (workload::JobId id = 1; id <= 200; ++id) {
-    injector.OnJobStart(id, 0.0, 5000.0);
+    injector.OnJobStart(id, 5000.0);
   }
   simulator_.Run();
 
@@ -405,7 +407,7 @@ TEST_F(FaultInjectorTest, OnJobStopCancelsPendingMtbfFailure) {
   plan.job_mtbf_seconds = 1000.0;
   FaultInjector injector(simulator_, plan, RecordingHooks(), &stats_);
   injector.Arm();
-  injector.OnJobStart(7, 0.0, 5000.0);
+  injector.OnJobStart(7, 5000.0);
   injector.OnJobStop(7);
   simulator_.Run();
   EXPECT_TRUE(kills_.empty());
@@ -430,11 +432,11 @@ TEST_F(FaultInjectorTest, MtbfStateSurvivesCheckpointRoundTrip) {
     };
     FaultInjector injector(simulator, plan, hooks);
     injector.Arm();
-    injector.OnJobStart(1, 0.0, 5000.0);
-    injector.OnJobStart(2, 0.0, 5000.0);
+    injector.OnJobStart(1, 5000.0);
+    injector.OnJobStart(2, 5000.0);
     simulator.Run();
     // A third job started later consumes the next RNG draw.
-    injector.OnJobStart(3, simulator.Now(), 5000.0);
+    injector.OnJobStart(3, 5000.0);
     simulator.Run();
     return kills;
   };
@@ -450,19 +452,22 @@ TEST_F(FaultInjectorTest, MtbfStateSurvivesCheckpointRoundTrip) {
   sim::Simulator victim_sim;
   FaultInjector victim(victim_sim, plan, hooks);
   victim.Arm();
-  victim.OnJobStart(1, 0.0, 5000.0);
-  victim.OnJobStart(2, 0.0, 5000.0);
+  victim.OnJobStart(1, 5000.0);
+  victim.OnJobStart(2, 5000.0);
+  ckpt::Writer sim_state;
+  victim_sim.SaveState(sim_state);
   ckpt::Writer w;
   victim.SaveState(w);
 
   sim::Simulator resumed_sim;
-  resumed_sim.RestoreClock(0.0, 0, victim_sim.NextEventId());
   FaultInjector resumed(resumed_sim, plan, hooks);
+  ckpt::Reader sim_reader(sim_state.buffer());
+  resumed_sim.RestoreState(sim_reader);
   ckpt::Reader r(w.buffer());
   resumed.RestoreState(r);
   EXPECT_TRUE(r.AtEnd());
   resumed_sim.Run();
-  resumed.OnJobStart(3, resumed_sim.Now(), 5000.0);
+  resumed.OnJobStart(3, 5000.0);
   resumed_sim.Run();
 
   ASSERT_EQ(kills.size(), expected.size());
@@ -470,6 +475,53 @@ TEST_F(FaultInjectorTest, MtbfStateSurvivesCheckpointRoundTrip) {
     EXPECT_EQ(kills[i].factor, expected[i].factor) << "kill " << i;
     EXPECT_DOUBLE_EQ(kills[i].time, expected[i].time) << "kill " << i;
   }
+}
+
+TEST_F(FaultInjectorTest, RestoreRejectsKillThatIsNotPending) {
+  // The injector saves only the ids of its pending kills; the events are in
+  // the simulator's state. A kill id with no pending event there means a
+  // damaged checkpoint.
+  FaultPlan plan;
+  plan.job_kill_probability = 1.0;
+  sim::Simulator victim_sim;
+  FaultInjector victim(victim_sim, plan, RecordingHooks());
+  victim.Arm();
+  sim::EventId kill = victim_sim.NextEventId();
+  victim.OnJobStart(7, 1000.0);
+  ASSERT_NO_THROW(victim_sim.RequirePending(kill, "test"));
+  ckpt::Writer w;
+  victim.SaveState(w);
+  victim_sim.Cancel(kill);  // the sim section loses the event
+  ckpt::Writer sim_state;
+  victim_sim.SaveState(sim_state);
+
+  sim::Simulator resumed_sim;
+  FaultInjector resumed(resumed_sim, plan, RecordingHooks());
+  ckpt::Reader sim_reader(sim_state.buffer());
+  resumed_sim.RestoreState(sim_reader);
+  ckpt::Reader r(w.buffer());
+  EXPECT_THROW(resumed.RestoreState(r), ckpt::FormatError);
+}
+
+TEST_F(FaultInjectorTest, RestoreRejectsEdgeOutsideThePlan) {
+  FaultPlan plan;
+  plan.degradations.push_back({100.0, 200.0, 0.5});
+  sim::Simulator victim_sim;
+  FaultInjector victim(victim_sim, plan, RecordingHooks());
+  victim.Arm();
+  ckpt::Writer sim_state;
+  victim_sim.SaveState(sim_state);
+  ckpt::Writer w;
+  victim.SaveState(w);
+
+  // Restored against a plan without that window, the pending edges point
+  // past the plan's end.
+  sim::Simulator resumed_sim;
+  FaultInjector resumed(resumed_sim, FaultPlan{}, RecordingHooks());
+  ckpt::Reader sim_reader(sim_state.buffer());
+  resumed_sim.RestoreState(sim_reader);
+  ckpt::Reader r(w.buffer());
+  EXPECT_THROW(resumed.RestoreState(r), ckpt::FormatError);
 }
 
 TEST_F(FaultInjectorTest, MissingHooksThrow) {

@@ -26,7 +26,7 @@ TEST_P(EventQueueModelSweep, MatchesReferenceModel) {
     double action = rng.Uniform(0, 1);
     if (action < 0.5 || model.empty()) {
       double t = rng.Uniform(0, 1000);
-      EventId id = queue.Push(t, [] {});
+      EventId id = queue.Push(t, 0, 0);
       model.emplace(t, id);
       issued.push_back(id);
     } else if (action < 0.75) {

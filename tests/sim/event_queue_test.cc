@@ -9,6 +9,13 @@
 namespace iosched::sim {
 namespace {
 
+/// Pops every live event, returning their keys in pop order.
+std::vector<std::int64_t> DrainKeys(EventQueue& q) {
+  std::vector<std::int64_t> keys;
+  while (!q.Empty()) keys.push_back(q.Pop().key);
+  return keys;
+}
+
 TEST(EventQueue, EmptyInitially) {
   EventQueue q;
   EXPECT_TRUE(q.Empty());
@@ -19,36 +26,44 @@ TEST(EventQueue, EmptyInitially) {
 
 TEST(EventQueue, PopsInTimeOrder) {
   EventQueue q;
-  std::vector<int> order;
-  q.Push(3.0, [&] { order.push_back(3); });
-  q.Push(1.0, [&] { order.push_back(1); });
-  q.Push(2.0, [&] { order.push_back(2); });
-  while (!q.Empty()) q.Pop().action();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  q.Push(3.0, 0, 0, 3);
+  q.Push(1.0, 0, 0, 1);
+  q.Push(2.0, 0, 0, 2);
+  EXPECT_EQ(DrainKeys(q), (std::vector<std::int64_t>{1, 2, 3}));
 }
 
 TEST(EventQueue, FifoWithinTimestamp) {
   EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 10; ++i) {
-    q.Push(5.0, [&order, i] { order.push_back(i); });
-  }
-  while (!q.Empty()) q.Pop().action();
+  for (int i = 0; i < 10; ++i) q.Push(5.0, 0, 0, i);
+  std::vector<std::int64_t> order = DrainKeys(q);
+  ASSERT_EQ(order.size(), 10u);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
+}
+
+TEST(EventQueue, PopReturnsThePushedData) {
+  EventQueue q;
+  EventId id = q.Push(4.5, 7, 3, -42, 1.25);
+  Event e = q.Pop();
+  EXPECT_DOUBLE_EQ(e.time, 4.5);
+  EXPECT_EQ(e.id, id);
+  EXPECT_EQ(e.owner, 7);
+  EXPECT_EQ(e.kind, 3);
+  EXPECT_EQ(e.key, -42);
+  EXPECT_DOUBLE_EQ(e.arg, 1.25);
 }
 
 TEST(EventQueue, CancelPreventsExecution) {
   EventQueue q;
-  bool ran = false;
-  EventId id = q.Push(1.0, [&] { ran = true; });
+  EventId id = q.Push(1.0, 0, 0);
   EXPECT_TRUE(q.Cancel(id));
   EXPECT_TRUE(q.Empty());
-  EXPECT_FALSE(ran);
+  EXPECT_FALSE(q.Contains(id));
+  EXPECT_THROW(q.Pop(), std::logic_error);
 }
 
 TEST(EventQueue, CancelTwiceFails) {
   EventQueue q;
-  EventId id = q.Push(1.0, [] {});
+  EventId id = q.Push(1.0, 0, 0);
   EXPECT_TRUE(q.Cancel(id));
   EXPECT_FALSE(q.Cancel(id));
 }
@@ -60,15 +75,15 @@ TEST(EventQueue, CancelUnknownFails) {
 
 TEST(EventQueue, CancelAfterPopFails) {
   EventQueue q;
-  EventId id = q.Push(1.0, [] {});
+  EventId id = q.Push(1.0, 0, 0);
   q.Pop();
   EXPECT_FALSE(q.Cancel(id));
 }
 
 TEST(EventQueue, CancelledHeadSkipped) {
   EventQueue q;
-  EventId first = q.Push(1.0, [] {});
-  q.Push(2.0, [] {});
+  EventId first = q.Push(1.0, 0, 0);
+  q.Push(2.0, 0, 0);
   q.Cancel(first);
   EXPECT_DOUBLE_EQ(q.PeekTime(), 2.0);
   Event e = q.Pop();
@@ -78,8 +93,8 @@ TEST(EventQueue, CancelledHeadSkipped) {
 
 TEST(EventQueue, SizeTracksLiveEvents) {
   EventQueue q;
-  EventId a = q.Push(1.0, [] {});
-  q.Push(2.0, [] {});
+  EventId a = q.Push(1.0, 0, 0);
+  q.Push(2.0, 0, 0);
   EXPECT_EQ(q.Size(), 2u);
   q.Cancel(a);
   EXPECT_EQ(q.Size(), 1u);
@@ -89,16 +104,16 @@ TEST(EventQueue, SizeTracksLiveEvents) {
 
 TEST(EventQueue, ClearRemovesEverything) {
   EventQueue q;
-  q.Push(1.0, [] {});
-  q.Push(2.0, [] {});
+  q.Push(1.0, 0, 0);
+  q.Push(2.0, 0, 0);
   q.Clear();
   EXPECT_TRUE(q.Empty());
 }
 
 TEST(EventQueue, CancelTwiceAfterCompactFails) {
   EventQueue q;
-  EventId id = q.Push(1.0, [] {});
-  q.Push(2.0, [] {});
+  EventId id = q.Push(1.0, 0, 0);
+  q.Push(2.0, 0, 0);
   EXPECT_TRUE(q.Cancel(id));
   q.Compact();
   EXPECT_FALSE(q.Cancel(id));
@@ -107,30 +122,25 @@ TEST(EventQueue, CancelTwiceAfterCompactFails) {
 
 TEST(EventQueue, CompactPreservesFifoOrderOfEqualTimeEvents) {
   EventQueue q;
-  std::vector<int> order;
   std::vector<EventId> cancel_me;
   for (int i = 0; i < 20; ++i) {
-    if (i % 2 == 0) {
-      q.Push(7.0, [&order, i] { order.push_back(i); });
-    } else {
-      cancel_me.push_back(q.Push(7.0, [] {}));
-    }
+    EventId id = q.Push(7.0, 0, 0, i);
+    if (i % 2 != 0) cancel_me.push_back(id);
   }
   for (EventId id : cancel_me) EXPECT_TRUE(q.Cancel(id));
   q.Compact();
   EXPECT_EQ(q.HeapSize(), q.Size());
-  while (!q.Empty()) q.Pop().action();
   // Even-index events must still pop in push order after the rebuild.
-  std::vector<int> expected;
+  std::vector<std::int64_t> expected;
   for (int i = 0; i < 20; i += 2) expected.push_back(i);
-  EXPECT_EQ(order, expected);
+  EXPECT_EQ(DrainKeys(q), expected);
 }
 
 TEST(EventQueue, SizeAndEmptyConsistentAcrossCompaction) {
   EventQueue q;
   std::vector<EventId> ids;
   for (int i = 0; i < 10; ++i) {
-    ids.push_back(q.Push(static_cast<double>(i), [] {}));
+    ids.push_back(q.Push(static_cast<double>(i), 0, 0));
   }
   for (int i = 0; i < 10; i += 2) q.Cancel(ids[static_cast<size_t>(i)]);
   EXPECT_EQ(q.Size(), 5u);
@@ -152,7 +162,7 @@ TEST(EventQueue, AutoCompactionBoundsHeapUnderChurn) {
   EventQueue q;
   std::vector<EventId> live;
   for (int i = 0; i < 20000; ++i) {
-    live.push_back(q.Push(1000.0 + i, [] {}));
+    live.push_back(q.Push(1000.0 + i, 0, 0));
     if (live.size() > 4) {
       EXPECT_TRUE(q.Cancel(live.front()));
       live.erase(live.begin());
@@ -173,23 +183,34 @@ TEST(EventQueue, AutoCompactionBoundsHeapUnderChurn) {
 TEST(EventQueue, ReservedIdArmedLaterPopsBeforeEarlierPush) {
   EventQueue q;
   EventId first = q.ReserveIds(2);
-  std::vector<int> order;
-  EventId pushed = q.Push(5.0, [&] { order.push_back(2); });
+  EventId pushed = q.Push(5.0, 0, 0, 2);
   EXPECT_EQ(pushed, first + 2);
   // Armed after the push, but under a lower id: it pops first at the tie.
-  q.PushReserved(5.0, first + 1, [&] { order.push_back(1); });
-  EXPECT_THROW(q.PushReserved(6.0, first + 1, [] {}), std::logic_error);
-  EXPECT_THROW(q.PushReserved(6.0, pushed + 1, [] {}), std::logic_error);
-  EXPECT_THROW(q.PushReserved(6.0, 0, [] {}), std::logic_error);
-  while (!q.Empty()) q.Pop().action();
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  q.PushReserved(Event{5.0, first + 1, 0, 0, 1});
+  EXPECT_THROW(q.PushReserved(Event{6.0, first + 1}), std::logic_error);
+  EXPECT_THROW(q.PushReserved(Event{6.0, pushed + 1}), std::logic_error);
+  EXPECT_THROW(q.PushReserved(Event{6.0, 0}), std::logic_error);
+  EXPECT_EQ(DrainKeys(q), (std::vector<std::int64_t>{1, 2}));
+}
+
+TEST(EventQueue, PendingListsLiveEventsInPopOrder) {
+  EventQueue q;
+  EventId late = q.Push(9.0, 0, 0, 1);
+  EventId cancelled = q.Push(1.0, 0, 0, 2);
+  EventId tie_a = q.Push(3.0, 0, 0, 3);
+  EventId tie_b = q.Push(3.0, 0, 0, 4);
+  q.Cancel(cancelled);
+  std::vector<EventId> ids;
+  for (const Event& e : q.Pending()) ids.push_back(e.id);
+  EXPECT_EQ(ids, (std::vector<EventId>{tie_a, tie_b, late}));
+  EXPECT_EQ(q.Size(), 3u);  // listing pops nothing
 }
 
 TEST(EventQueue, StressRandomOrderStaysSorted) {
   EventQueue q;
   util::Rng rng(2024);
   for (int i = 0; i < 5000; ++i) {
-    q.Push(rng.Uniform(0, 1000), [] {});
+    q.Push(rng.Uniform(0, 1000), 0, 0);
   }
   double last = -1.0;
   while (!q.Empty()) {
@@ -204,7 +225,7 @@ TEST(EventQueue, StressWithRandomCancellation) {
   util::Rng rng(99);
   std::vector<EventId> ids;
   for (int i = 0; i < 2000; ++i) {
-    ids.push_back(q.Push(rng.Uniform(0, 100), [] {}));
+    ids.push_back(q.Push(rng.Uniform(0, 100), 0, 0));
   }
   std::size_t cancelled = 0;
   for (std::size_t i = 0; i < ids.size(); i += 3) {
