@@ -1,6 +1,7 @@
 // Microbenchmarks of the framework's hot components (google-benchmark):
 // event queue, RNG, knapsack DP, policy scheduling cycles, storage model
-// rate updates, partition allocator, and an end-to-end simulation day.
+// rate updates, partition allocator, EASY shadow time, and an end-to-end
+// simulation day.
 //
 // The binary doubles as the simulation-core regression harness. Run with
 //   micro_components --core-json=BENCH_core.json [--replay-days=30]
@@ -36,6 +37,7 @@
 #include "metrics/digest.h"
 #include "metrics/speedup.h"
 #include "obs/hub.h"
+#include "sched/batch_scheduler.h"
 #include "sched/queue_policy.h"
 #include "sched/wait_queue.h"
 #include "sim/event_queue.h"
@@ -175,6 +177,48 @@ void BM_MachineAllocateRelease(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MachineAllocateRelease);
+
+// EASY's reservation probe on a busy Mira: a one-row head blocked by a
+// machine full of 1-8 midplane jobs with spread-out predicted ends. Arg 0
+// queries a standing running set, so every release mask is cached; Arg 1
+// ends and restarts one running job before each query, so the masks past
+// its new position in the release order are rebuilt.
+void BM_ShadowTime(benchmark::State& state) {
+  machine::Machine machine(machine::MachineConfig::Mira());
+  sched::BatchScheduler sched(machine, {});
+  util::Rng rng(7);
+  std::vector<workload::Job> jobs(400);
+  std::vector<workload::Job*> started;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    workload::Job& job = jobs[i];
+    job.id = static_cast<workload::JobId>(i + 1);
+    job.nodes = 512 << rng.UniformInt(0, 3);
+    job.requested_walltime = rng.Uniform(600.0, 86400.0);
+    job.phases = {workload::Phase::Compute(job.requested_walltime)};
+    if (!machine.CanAllocate(job.nodes)) continue;
+    sched.Submit(job);
+    sched.Schedule(0.0);
+    started.push_back(&job);
+  }
+  workload::Job head;
+  head.id = 0;
+  head.nodes = 16384;
+  head.requested_walltime = 3600.0;
+  head.phases = {workload::Phase::Compute(3600.0)};
+  const bool churn = state.range(0) != 0;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    if (churn) {
+      workload::Job* job = started[next++ % started.size()];
+      sched.OnJobEnd(job->id, 0.0);
+      sched.Submit(*job);
+      sched.Schedule(0.0);
+    }
+    benchmark::DoNotOptimize(sched.ShadowTime(head, 0.0));
+  }
+  state.counters["running"] = static_cast<double>(sched.running_count());
+}
+BENCHMARK(BM_ShadowTime)->Arg(0)->Arg(1);
 
 void BM_SimulateOneDay(benchmark::State& state, const char* policy) {
   driver::Scenario scenario = driver::MakeEvaluationScenario(2, 1.0);

@@ -14,7 +14,7 @@ BatchScheduler::BatchScheduler(machine::Machine& machine, Options options)
     : machine_(machine),
       options_(options),
       wait_queue_(options.order),
-      probe_scratch_(machine),
+      release_masks_(machine.mask_words(), 0),
       jitter_rng_(options.backoff_jitter_seed, /*stream=*/37) {
   if (options_.backoff_jitter_fraction < 0 ||
       options_.backoff_jitter_fraction >= 1.0) {
@@ -38,44 +38,75 @@ void BatchScheduler::Submit(const workload::Job& job) {
   wait_queue_.Insert(job, *block_nodes);
 }
 
+void BatchScheduler::StartRunning(const workload::Job& job,
+                                  const machine::Partition& partition,
+                                  sim::SimTime now) {
+  RunningJob run{&job, partition, now, now + job.requested_walltime};
+  auto pos = std::upper_bound(running_.begin(), running_.end(), run,
+                              EndsBefore);
+  masks_built_ = std::min(
+      masks_built_, static_cast<std::size_t>(pos - running_.begin()) + 1);
+  running_.insert(pos, run);
+}
+
+const workload::Job* BatchScheduler::StopRunning(workload::JobId id,
+                                                 const char* caller) {
+  auto it = std::find_if(running_.begin(), running_.end(),
+                         [id](const RunningJob& r) { return r.job->id == id; });
+  if (it == running_.end()) {
+    throw std::logic_error(std::string(caller) + ": job " +
+                           std::to_string(id) + " not running");
+  }
+  machine_.Release(it->partition);
+  masks_built_ = std::min(
+      masks_built_, static_cast<std::size_t>(it - running_.begin()) + 1);
+  const workload::Job* job = it->job;
+  running_.erase(it);
+  return job;
+}
+
+bool BatchScheduler::IsRunning(workload::JobId id) const {
+  return std::any_of(running_.begin(), running_.end(),
+                     [id](const RunningJob& r) { return r.job->id == id; });
+}
+
+std::span<const std::uint64_t> BatchScheduler::ReleaseMask(
+    std::size_t k) const {
+  const std::size_t words = machine_.mask_words();
+  if (k >= masks_built_) {
+    release_masks_.resize((k + 1) * words);
+    for (std::size_t j = masks_built_; j <= k; ++j) {
+      std::uint64_t* mask = release_masks_.data() + j * words;
+      std::copy(mask - words, mask, mask);
+      machine_.AddToReleaseMask(running_[j - 1].partition, {mask, words});
+    }
+    masks_built_ = k + 1;
+  }
+  return {release_masks_.data() + k * words, words};
+}
+
 sim::SimTime BatchScheduler::ShadowTime(const workload::Job& head,
                                         sim::SimTime now) const {
   if (machine_.CanAllocate(head.nodes)) return now;
-
-  // Release running partitions in predicted-end order until the head fits.
-  std::vector<const RunningJob*> by_end;
-  by_end.reserve(running_.size());
-  for (const auto& [id, rj] : running_) by_end.push_back(&rj);
-  std::sort(by_end.begin(), by_end.end(),
-            [now](const RunningJob* a, const RunningJob* b) {
-              double ea = std::max(a->predicted_end, now);
-              double eb = std::max(b->predicted_end, now);
-              if (ea != eb) return ea < eb;
-              return a->job->id < b->job->id;
-            });
   // Fitting is monotone in the released prefix (releases only free space),
-  // so binary-search the smallest prefix whose release lets the head in.
-  // Releases are a few word-ops each; the allocator probe (CanAllocate)
-  // scans the whole machine, so probing O(log R) prefixes instead of every
-  // one is the win. The result is identical to the linear scan's.
+  // so search for the smallest prefix whose release lets the head in:
+  // gallop over prefixes 1, 2, 4, ..., then bisect the last step. Each
+  // probe is one allocator search against a cached mask, and only the
+  // masks up to about twice the answer are ever built.
   auto fits_after = [&](std::size_t prefix) {
-    // Copy-assign into the standing scratch machine: reuses its buffers
-    // instead of heap-allocating a snapshot per probe.
-    probe_scratch_ = machine_;
-    for (std::size_t k = 0; k < prefix; ++k) {
-      probe_scratch_.Release(by_end[k]->partition);
-    }
-    return probe_scratch_.CanAllocate(head.nodes);
+    return machine_.CanAllocateReleasing(head.nodes, ReleaseMask(prefix));
   };
-  std::size_t lo = 1, hi = by_end.size();
-  if (hi == 0 || !fits_after(hi)) {
-    // With everything released the head must fit (size was validated at
-    // submit); fall back to the latest predicted end.
-    sim::SimTime latest = now;
-    for (const RunningJob* rj : by_end) {
-      latest = std::max(latest, rj->predicted_end);
+  const std::size_t n = running_.size();
+  if (n == 0) return now;
+  std::size_t lo = 1, hi = 1;  // prefixes shorter than lo leave it blocked
+  while (!fits_after(hi)) {
+    if (hi == n) {
+      // Blocked even with everything released (faulted midplanes): fall
+      // back to the latest predicted end.
+      return std::max(running_.back().predicted_end, now);
     }
-    return latest;
+    lo = hi + 1;
+    hi = std::min(2 * hi, n);
   }
   while (lo < hi) {
     std::size_t mid = lo + (hi - lo) / 2;
@@ -85,30 +116,28 @@ sim::SimTime BatchScheduler::ShadowTime(const workload::Job& head,
       lo = mid + 1;
     }
   }
-  // A job that overran its estimate is treated as ending "now": the real
-  // Cobalt would see the same stale estimate.
-  return std::max(by_end[lo - 1]->predicted_end, now);
+  return std::max(running_[lo - 1].predicted_end, now);
 }
 
 bool BatchScheduler::BackfillOk(const workload::Job& candidate,
-                                const machine::Partition& candidate_partition,
                                 const workload::Job& head, sim::SimTime now,
                                 sim::SimTime shadow) const {
-  (void)candidate_partition;
   // Finishes before the reservation needs the space.
-  if (now + candidate.requested_walltime <= shadow + util::kTimeEpsilon) {
-    return true;
-  }
+  const sim::SimTime limit = shadow + util::kTimeEpsilon;
+  if (now + candidate.requested_walltime <= limit) return true;
   // Otherwise the head must still fit at shadow time with the candidate's
-  // partition occupied. machine_ already contains the candidate (the caller
-  // allocated it tentatively), so replay the releases up to `shadow`.
-  probe_scratch_ = machine_;
-  for (const auto& [id, rj] : running_) {
-    if (std::max(rj.predicted_end, now) <= shadow + util::kTimeEpsilon) {
-      probe_scratch_.Release(rj.partition);
-    }
+  // partition occupied: release every running job with
+  // max(predicted_end, now) <= limit, a prefix of the release order.
+  std::size_t released = 0;
+  if (now <= limit) {
+    released = static_cast<std::size_t>(
+        std::upper_bound(running_.begin(), running_.end(), limit,
+                         [](sim::SimTime t, const RunningJob& r) {
+                           return t < r.predicted_end;
+                         }) -
+        running_.begin());
   }
-  return probe_scratch_.CanAllocate(head.nodes);
+  return machine_.CanAllocateReleasing(head.nodes, ReleaseMask(released));
 }
 
 std::vector<StartDecision> BatchScheduler::Schedule(sim::SimTime now) {
@@ -168,8 +197,7 @@ std::vector<StartDecision> BatchScheduler::Schedule(sim::SimTime now) {
       auto partition = machine_.Allocate(job->nodes);
       if (partition) {
         decisions.push_back(StartDecision{job, *partition});
-        running_.emplace(job->id, RunningJob{job, *partition, now,
-                                             now + job->requested_walltime});
+        StartRunning(*job, *partition, now);
         continue;
       }
       // First blocked job: it owns the reservation.
@@ -186,7 +214,7 @@ std::vector<StartDecision> BatchScheduler::Schedule(sim::SimTime now) {
       min_failed_block_nodes = block_nodes;
       continue;
     }
-    if (BackfillOk(*job, *partition, *blocked_head, now, shadow)) {
+    if (BackfillOk(*job, *blocked_head, now, shadow)) {
       // Geometry says the backfill cannot delay the reservation; an
       // installed admission hook (reservation-aware planning policies) may
       // still veto it on projected storage pressure. A veto is not a
@@ -198,8 +226,7 @@ std::vector<StartDecision> BatchScheduler::Schedule(sim::SimTime now) {
       }
       if (hub_ != nullptr) hub_->backfill_starts->Inc();
       decisions.push_back(StartDecision{job, *partition});
-      running_.emplace(job->id, RunningJob{job, *partition, now,
-                                           now + job->requested_walltime});
+      StartRunning(*job, *partition, now);
     } else {
       machine_.Release(*partition);
     }
@@ -233,14 +260,7 @@ bool BatchScheduler::InBackoff(workload::JobId id, sim::SimTime now) const {
 
 BatchScheduler::RequeueDecision BatchScheduler::OnJobFailed(
     workload::JobId id, sim::SimTime now) {
-  auto it = running_.find(id);
-  if (it == running_.end()) {
-    throw std::logic_error("OnJobFailed: job " + std::to_string(id) +
-                           " not running");
-  }
-  const workload::Job* job = it->second.job;
-  machine_.Release(it->second.partition);
-  running_.erase(it);
+  const workload::Job* job = StopRunning(id, "OnJobFailed");
 
   RequeueDecision decision;
   decision.retries = ++retries_[id];
@@ -289,19 +309,14 @@ sim::SimTime BatchScheduler::NextEligibleTime(sim::SimTime now) const {
 
 void BatchScheduler::OnJobEnd(workload::JobId id, sim::SimTime now) {
   (void)now;
-  auto it = running_.find(id);
-  if (it == running_.end()) {
-    throw std::logic_error("OnJobEnd: job " + std::to_string(id) +
-                           " not running");
-  }
-  machine_.Release(it->second.partition);
-  running_.erase(it);
+  StopRunning(id, "OnJobEnd");
   retries_.erase(id);
 }
 
 namespace {
 // Serialize unordered_map entries sorted by job id so the checkpoint bytes
-// are deterministic (the maps' iteration order is not).
+// are deterministic (the maps' iteration order is not). The running set is
+// written in the same id order.
 template <typename Map, typename Fn>
 void WriteSortedById(ckpt::Writer& w, const Map& map, Fn&& write_value) {
   std::vector<workload::JobId> ids;
@@ -319,13 +334,22 @@ void WriteSortedById(ckpt::Writer& w, const Map& map, Fn&& write_value) {
 void BatchScheduler::SaveState(ckpt::Writer& w) const {
   w.U32(static_cast<std::uint32_t>(queue_.size()));
   for (const workload::Job* job : queue_) w.I64(job->id);
-  WriteSortedById(w, running_, [&w](const RunningJob& run) {
-    w.I64(run.partition.first_midplane);
-    w.I64(run.partition.midplane_count);
-    w.I64(run.partition.nodes);
-    w.F64(run.start_time);
-    w.F64(run.predicted_end);
-  });
+  std::vector<const RunningJob*> by_id;
+  by_id.reserve(running_.size());
+  for (const RunningJob& run : running_) by_id.push_back(&run);
+  std::sort(by_id.begin(), by_id.end(),
+            [](const RunningJob* a, const RunningJob* b) {
+              return a->job->id < b->job->id;
+            });
+  w.U32(static_cast<std::uint32_t>(by_id.size()));
+  for (const RunningJob* run : by_id) {
+    w.I64(run->job->id);
+    w.I64(run->partition.first_midplane);
+    w.I64(run->partition.midplane_count);
+    w.I64(run->partition.nodes);
+    w.F64(run->start_time);
+    w.F64(run->predicted_end);
+  }
   WriteSortedById(w, retries_, [&w](int retries) { w.I64(retries); });
   WriteSortedById(w, eligible_after_,
                   [&w](sim::SimTime t) { w.F64(t); });
@@ -351,6 +375,7 @@ void BatchScheduler::RestoreState(
   queue_.clear();
   wait_queue_.Clear();
   running_.clear();
+  masks_built_ = 1;
   retries_.clear();
   eligible_after_.clear();
   std::uint32_t queued = r.U32();
@@ -370,8 +395,14 @@ void BatchScheduler::RestoreState(
     run.partition.nodes = static_cast<int>(r.I64());
     run.start_time = r.F64();
     run.predicted_end = r.F64();
-    running_.emplace(id, run);
+    if (IsRunning(id)) {
+      throw std::runtime_error(
+          "BatchScheduler::RestoreState: job " + std::to_string(id) +
+          " is running twice");
+    }
+    running_.push_back(run);
   }
+  std::sort(running_.begin(), running_.end(), EndsBefore);
   std::uint32_t retried = r.U32();
   for (std::uint32_t i = 0; i < retried; ++i) {
     workload::JobId id = r.I64();

@@ -8,10 +8,16 @@
 // same information the real Cobalt has; jobs whose runtime stretches past
 // the estimate (I/O congestion!) simply hold their partitions longer, which
 // is exactly the coupling the paper exploits.
+//
+// EASY's reservation probe runs on every blocked pass, so the running set
+// is kept in predicted-end order with a cached release mask per prefix: a
+// probe is O(log R) allocator searches over `occupied & ~mask`, with no
+// machine copy, release replay or sort.
 #pragma once
 
 #include <functional>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -132,9 +138,9 @@ class BatchScheduler {
   std::uint64_t last_order_comparisons() const {
     return wait_queue_.last_pass_comparisons();
   }
-  const std::unordered_map<workload::JobId, RunningJob>& running() const {
-    return running_;
-  }
+  /// The running set in EASY's release order, (predicted_end, job id).
+  std::span<const RunningJob> running() const { return running_; }
+  bool IsRunning(workload::JobId id) const;
   const Options& options() const { return options_; }
 
   /// Serialize queue order, running set, retry counters, and backoff gates
@@ -148,20 +154,39 @@ class BatchScheduler {
       ckpt::Reader& r,
       const std::function<const workload::Job*(workload::JobId)>& resolve);
 
- private:
-  /// Earliest time the head job's block could be allocated, assuming
-  /// running jobs end at their predicted ends; also reports the machine
-  /// state snapshot at that time for the backfill feasibility test.
+  /// Earliest time `head`'s block could be allocated, assuming running
+  /// jobs end at their predicted ends: `now` when it fits already, else the
+  /// predicted end (clamped to `now`: an overrun job is treated as ending
+  /// now, the stale estimate the real Cobalt sees too) of the shortest
+  /// prefix of the release order whose release lets it in. Public so tests
+  /// can check it against a from-scratch reference.
   sim::SimTime ShadowTime(const workload::Job& head, sim::SimTime now) const;
 
   /// True if starting `candidate` now cannot delay the reserved head job:
   /// either it finishes (per its walltime) before the shadow time, or the
-  /// head job's block still fits with the candidate's partition occupied
-  /// at shadow time.
-  bool BackfillOk(const workload::Job& candidate,
-                  const machine::Partition& candidate_partition,
-                  const workload::Job& head, sim::SimTime now,
-                  sim::SimTime shadow) const;
+  /// head job's block still fits at shadow time with the candidate's
+  /// partition occupied. The caller has allocated that partition on the
+  /// machine already (tentatively); it is not yet in the running set.
+  bool BackfillOk(const workload::Job& candidate, const workload::Job& head,
+                  sim::SimTime now, sim::SimTime shadow) const;
+
+ private:
+  static bool EndsBefore(const RunningJob& a, const RunningJob& b) {
+    if (a.predicted_end != b.predicted_end) {
+      return a.predicted_end < b.predicted_end;
+    }
+    return a.job->id < b.job->id;
+  }
+
+  /// Add a started job to the running set.
+  void StartRunning(const workload::Job& job,
+                    const machine::Partition& partition, sim::SimTime now);
+  /// Remove a running job, releasing its partition; throws logic_error
+  /// naming `caller` when `id` is not running.
+  const workload::Job* StopRunning(workload::JobId id, const char* caller);
+  /// Release mask of the first `k` running jobs (k <= running_count()),
+  /// built on demand from the longest still-valid prefix mask.
+  std::span<const std::uint64_t> ReleaseMask(std::size_t k) const;
 
   /// One eligible queue entry in service order, with the allocation block
   /// size cached so the backfill loop never re-derives machine geometry.
@@ -180,11 +205,18 @@ class BatchScheduler {
   /// wait_queue_ and is maintained incrementally.
   std::vector<const workload::Job*> queue_;
   WaitQueue wait_queue_;
-  std::unordered_map<workload::JobId, RunningJob> running_;
-  /// Reusable machine snapshot for ShadowTime/BackfillOk probes; copy-assign
-  /// reuses its buffers instead of heap-allocating a fresh Machine per
-  /// probe (millions of probes per replay).
-  mutable machine::Machine probe_scratch_;
+  /// The running set in (predicted_end, id) order: EASY releases
+  /// partitions in this order. Ends are not clamped to `now`; clamping only
+  /// reorders the overdue block, and any prefix ending inside that block
+  /// yields the shadow time `now` whatever its order. It holds at most one
+  /// job per midplane, so lookups by id scan it.
+  std::vector<RunningJob> running_;
+  /// Release masks of running_'s prefixes, machine_.mask_words() words
+  /// each: mask k frees the first k running jobs. Masks [0, masks_built_)
+  /// are current; a running-set change at position p keeps masks [0, p],
+  /// and mask 0 (all zero) is always current.
+  mutable std::vector<std::uint64_t> release_masks_;
+  mutable std::size_t masks_built_ = 1;
   /// Per-pass scratch for the ordered eligible candidates.
   std::vector<Candidate> candidates_;
   /// Overflow-safe clamped exponential backoff for retry attempt `retries`

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "util/rng.h"
@@ -210,6 +211,161 @@ TEST_P(MachineChurn, InvariantsHoldUnderChurn) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MachineChurn,
                          ::testing::Values(1ull, 7ull, 2024ull, 31337ull));
+
+// Geometries whose rows straddle 64-bit words (24 and 40 midplanes) or
+// are wider than a word (128), beside the three real machines.
+std::vector<MachineConfig> TestGeometries() {
+  std::vector<MachineConfig> configs = {
+      MachineConfig::Small(), MachineConfig::Mira(), MachineConfig::Intrepid()};
+  for (auto [row, rows] : {std::pair{24, 5}, {40, 3}, {128, 2}}) {
+    MachineConfig c;
+    c.midplanes_per_row = row;
+    c.rows = rows;
+    configs.push_back(c);
+  }
+  return configs;
+}
+
+// The allocator's lowest free aligned start, found midplane by midplane:
+// in-row blocks at each row's aligned offsets, larger ones at row starts.
+int ReferenceFreeStart(const Machine& m, int requested_nodes) {
+  const MachineConfig& c = m.config();
+  int midplanes = *m.BlockNodesFor(requested_nodes) / c.nodes_per_midplane;
+  std::vector<bool> busy = m.occupancy();
+  auto run_free = [&](int start) {
+    for (int i = start; i < start + midplanes; ++i) {
+      if (busy[static_cast<std::size_t>(i)] || m.IsFaulted(i)) return false;
+    }
+    return true;
+  };
+  for (int r = 0; r < c.rows; ++r) {
+    if (midplanes <= c.midplanes_per_row) {
+      for (int off = 0; off + midplanes <= c.midplanes_per_row;
+           off += midplanes) {
+        if (run_free(r * c.midplanes_per_row + off)) {
+          return r * c.midplanes_per_row + off;
+        }
+      }
+    } else if (r * c.midplanes_per_row + midplanes <= c.total_midplanes() &&
+               run_free(r * c.midplanes_per_row)) {
+      return r * c.midplanes_per_row;
+    }
+  }
+  return -1;
+}
+
+// Allocation picks the same start as a midplane-by-midplane scan, on
+// random occupancy and fault states of every test geometry.
+TEST(Machine, AllocatePicksLowestFreeAlignedStart) {
+  util::Rng rng(8);
+  for (const MachineConfig& config : TestGeometries()) {
+    for (int trial = 0; trial < 150; ++trial) {
+      Machine m(config);
+      std::vector<Partition> held;
+      for (int mp = 0; mp < config.total_midplanes(); ++mp) {
+        if (rng.Bernoulli(0.05)) m.SetFaulted(mp, true);
+      }
+      for (int step = 0; step < 60; ++step) {
+        int mps = static_cast<int>(rng.UniformInt(1, config.total_midplanes()));
+        int req = mps * config.nodes_per_midplane -
+                  static_cast<int>(rng.UniformInt(0, 511));
+        int expect = ReferenceFreeStart(m, req);
+        ASSERT_EQ(m.CanAllocate(req), expect >= 0);
+        auto p = m.Allocate(req);
+        ASSERT_EQ(p.has_value(), expect >= 0)
+            << "row " << config.midplanes_per_row << " request " << req;
+        if (p) {
+          ASSERT_EQ(p->first_midplane, expect);
+          held.push_back(*p);
+        }
+        if (!held.empty() && rng.Bernoulli(0.4)) {
+          std::size_t pick = static_cast<std::size_t>(
+              rng.UniformInt(0, static_cast<std::int64_t>(held.size()) - 1));
+          m.Release(held[pick]);
+          held.erase(held.begin() + static_cast<std::ptrdiff_t>(pick));
+        }
+      }
+    }
+  }
+}
+
+// Releasing through a mask must answer exactly what copying the machine,
+// releasing the same partitions and probing answers, on random occupancy
+// and fault states of every test geometry.
+class MachineReleaseMask : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(MachineReleaseMask, CanAllocateReleasingMatchesCopyAndRelease) {
+  util::Rng rng(GetParam());
+  const std::vector<int> requests = {1,    512,  1024,  1500,  2048,
+                                     4096, 8192, 16384, 16385, 32768,
+                                     49152};
+  for (const MachineConfig& config : TestGeometries()) {
+    for (int trial = 0; trial < 200; ++trial) {
+      Machine m(config);
+      std::vector<Partition> held;
+      for (auto step = rng.UniformInt(0, 40); step > 0; --step) {
+        int req = requests[static_cast<std::size_t>(
+            rng.UniformInt(0, static_cast<std::int64_t>(requests.size()) - 1))];
+        if (auto p = m.Allocate(req)) held.push_back(*p);
+      }
+      for (int mp = 0; mp < config.total_midplanes(); ++mp) {
+        if (rng.Bernoulli(0.08)) m.SetFaulted(mp, true);
+      }
+      std::vector<std::uint64_t> mask(m.mask_words(), 0);
+      Machine copy = m;
+      for (const Partition& p : held) {
+        if (!rng.Bernoulli(0.5)) continue;
+        m.AddToReleaseMask(p, mask);
+        copy.Release(p);
+      }
+      for (int req : requests) {
+        ASSERT_EQ(m.CanAllocateReleasing(req, mask), copy.CanAllocate(req))
+            << "request " << req << " trial " << trial;
+      }
+      // The mask is a probe: the machine itself is untouched.
+      std::vector<std::uint64_t> none(m.mask_words(), 0);
+      for (int req : requests) {
+        ASSERT_EQ(m.CanAllocateReleasing(req, none), m.CanAllocate(req));
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MachineReleaseMask,
+                         ::testing::Values(3ull, 99ull, 4711ull));
+
+TEST(Machine, ReleaseMaskChecksLikeRelease) {
+  Machine m(MachineConfig::Mira());
+  std::vector<std::uint64_t> mask(m.mask_words(), 0);
+  // Never allocated.
+  EXPECT_THROW(m.AddToReleaseMask(Partition{0, 1, 512}, mask),
+               std::logic_error);
+  Partition a = *m.Allocate(1024);
+  m.AddToReleaseMask(a, mask);
+  // Already in the mask: a second release of the same partition.
+  EXPECT_THROW(m.AddToReleaseMask(a, mask), std::logic_error);
+  // Partly allocated: the allocated half does not make it valid.
+  EXPECT_THROW(m.AddToReleaseMask(Partition{0, 4, 2048}, mask),
+               std::logic_error);
+  EXPECT_THROW(m.AddToReleaseMask(Partition{0, 0, 0}, mask),
+               std::invalid_argument);
+  EXPECT_THROW(m.AddToReleaseMask(Partition{95, 2, 1024}, mask),
+               std::invalid_argument);
+  std::vector<std::uint64_t> short_mask(1, 0);
+  EXPECT_THROW(m.AddToReleaseMask(a, short_mask), std::invalid_argument);
+  EXPECT_THROW((void)m.CanAllocateReleasing(512, short_mask),
+               std::invalid_argument);
+  // A two-row partition (midplanes 32-95) spans both mask words.
+  Machine big(MachineConfig::Mira());
+  (void)*big.Allocate(16384);               // row 0
+  Partition rows12 = *big.Allocate(32768);  // rows 1-2, words 0 and 1
+  std::vector<std::uint64_t> wide(big.mask_words(), 0);
+  big.AddToReleaseMask(rows12, wide);
+  EXPECT_EQ(wide[0], ~std::uint64_t{0} << 32);
+  EXPECT_EQ(wide[1], (std::uint64_t{1} << 32) - 1);
+  EXPECT_TRUE(big.CanAllocateReleasing(32768, wide));
+  EXPECT_FALSE(big.CanAllocate(512));
+}
 
 }  // namespace
 }  // namespace iosched::machine

@@ -192,7 +192,9 @@ TEST_F(BatchSchedulerTest, ManyJobsDrainEventually) {
   // Repeatedly end everything running and reschedule.
   while (sched.running_count() > 0 || sched.queue_size() > 0) {
     std::vector<workload::JobId> running_ids;
-    for (const auto& [id, rj] : sched.running()) running_ids.push_back(id);
+    for (const RunningJob& rj : sched.running()) {
+      running_ids.push_back(rj.job->id);
+    }
     for (auto id : running_ids) sched.OnJobEnd(id, now);
     now += 100;
     started += static_cast<int>(sched.Schedule(now).size());
