@@ -94,7 +94,12 @@ void Simulator::SaveState(ckpt::Writer& w) const {
 void Simulator::RestoreState(ckpt::Reader& r) {
   now_ = r.F64();
   processed_ = r.U64();
-  queue_.SetNextId(r.U64());
+  EventId next_id = r.U64();
+  try {
+    queue_.SetNextId(next_id);
+  } catch (const std::logic_error& err) {
+    throw ckpt::FormatError(std::string("checkpoint sim: ") + err.what());
+  }
   for (std::uint32_t n = r.U32(); n > 0; --n) {
     // Braced initializers evaluate in order: the fields' file order.
     Event e{r.F64(), r.U64(), r.U8(), r.U8(), r.I64(), r.F64()};

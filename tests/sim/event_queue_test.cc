@@ -193,6 +193,21 @@ TEST(EventQueue, ReservedIdArmedLaterPopsBeforeEarlierPush) {
   EXPECT_EQ(DrainKeys(q), (std::vector<std::int64_t>{1, 2}));
 }
 
+TEST(EventQueue, IdsStopAtTheIdLimit) {
+  // Only the counter moves: no event is armed near the limit, so the live
+  // bitset stays empty.
+  EventQueue q;
+  EXPECT_THROW(q.SetNextId(EventQueue::kIdLimit + 1), std::logic_error);
+  q.SetNextId(EventQueue::kIdLimit - 1);
+  EXPECT_THROW(q.ReserveIds(2), std::length_error);
+  EXPECT_EQ(q.ReserveIds(1), EventQueue::kIdLimit - 1);
+  EXPECT_EQ(q.next_id(), EventQueue::kIdLimit);
+  EXPECT_THROW(q.Push(1.0, 0, 0), std::length_error);
+  EXPECT_THROW(q.ReserveIds(1), std::length_error);
+  EXPECT_TRUE(q.Empty());
+  EXPECT_EQ(q.HeapSize(), 0u);
+}
+
 TEST(EventQueue, PendingListsLiveEventsInPopOrder) {
   EventQueue q;
   EventId late = q.Push(9.0, 0, 0, 1);

@@ -283,6 +283,14 @@ TEST(SimulatorRestore, RejectsIdNotYetHandedOut) {
       ckpt::FormatError);
 }
 
+TEST(SimulatorRestore, RejectsIdCounterBeyondTheIdLimit) {
+  // A corrupt counter is a format error, not a bitset sized from it.
+  EXPECT_NO_THROW(Restore(SimSection(10.0, EventQueue::kIdLimit, {})));
+  EXPECT_THROW(Restore(SimSection(10.0, EventQueue::kIdLimit + 1, {})),
+               ckpt::FormatError);
+  EXPECT_THROW(Restore(SimSection(10.0, ~EventId{0}, {})), ckpt::FormatError);
+}
+
 TEST(SimulatorRestore, RequirePendingRejectsAbsentIds) {
   Simulator s;
   Recorder recorder;
