@@ -1,0 +1,205 @@
+// The SimulationConfig field table (util/field_table.h): one row per field
+// of SimulationConfig and its sub-structs. The rows of FaultPlanConfig,
+// TransferRetryConfig and PlanConfig sit next to those structs
+// (faults/fault_plan.h, core/io_scheduler.h): their Validate uses them.
+// Sections are visited in the order the hash mixes them (SimulationConfig's
+// own fields fall into three sections to keep that order, and so every
+// recorded hash). Cross-field rules stay in SimulationConfig::Validate.
+#pragma once
+
+#include <string>
+
+#include "core/policy_factory.h"
+#include "core/simulation.h"
+#include "util/field_table.h"
+
+namespace iosched::core {
+
+template <util::MaybeConst<SimulationConfig> C, class V>
+void VisitFields(C& c, V& v) {
+  using util::kAny, util::kFactor, util::kFraction, util::kNonNegative,
+      util::kPositive;
+  using enum util::HashClass;
+
+  v.Section("machine.");
+  v(c.machine.nodes_per_midplane, {"nodes_per_midplane", nullptr, kPositive,
+                                   kSchedule, "set by [machine] preset"});
+  v(c.machine.midplanes_per_row, {"midplanes_per_row", nullptr, kPositive,
+                                  kSchedule, "set by [machine] preset"});
+  v(c.machine.rows,
+    {"rows", nullptr, kPositive, kSchedule, "set by [machine] preset"});
+  v(c.machine.node_bandwidth_gbps,
+    {"node_bandwidth_gbps", "machine.node_bandwidth_gbps", kPositive,
+     kSchedule, "per-node injection bandwidth b (GB/s)"});
+
+  v.Section("storage.");
+  v(c.storage.max_bandwidth_gbps,
+    {"max_bandwidth_gbps", "storage.bwmax_gbps", kPositive, kSchedule,
+     "file-server bandwidth BWmax (GB/s)"});
+  v(c.storage.enforce_capacity, {"enforce_capacity", nullptr, kAny, kSchedule,
+                                 "throw on grants above BWmax"});
+
+  v.Section("batch.");
+  auto& batch = c.batch;
+  v(batch.order, {"order", "batch.order", kAny, kSchedule, "wfp or fcfs"});
+  v(batch.easy_backfill, {"easy_backfill", "batch.easy_backfill", kAny,
+                          kSchedule, "EASY backfilling"});
+  v(batch.max_retries, {"max_retries", "faults.max_retries", kNonNegative,
+                        kSchedule, "requeues before a job is abandoned"});
+  v(batch.requeue_backoff_seconds,
+    {"requeue_backoff_seconds", "faults.backoff_seconds", kNonNegative,
+     kSchedule, "base requeue delay (s), doubled per retry"});
+  v(batch.max_backoff_seconds,
+    {"max_backoff_seconds", "faults.max_backoff_seconds", kNonNegative,
+     kSchedule, "requeue delay cap (s)"});
+  v(batch.backoff_jitter_fraction,
+    {"backoff_jitter_fraction", "faults.backoff_jitter_fraction", kFraction,
+     kSchedule, "seeded +/- scatter on requeue delays"});
+  v(batch.backoff_jitter_seed,
+    {"backoff_jitter_seed", "faults.backoff_jitter_seed", kAny, kSchedule,
+     "seed of the requeue scatter"});
+  v(batch.incremental_order,
+    {"incremental_order", nullptr, kAny, kExcluded,
+     "both queue-order paths give bit-identical schedules"});
+
+  v.Section("transfer_retry.");
+  VisitFields(c.transfer_retry, v);
+
+  v.Section("app_checkpoint.");
+  v(c.app_checkpoint.enabled,
+    {"enabled", "app_checkpoint.enabled", kAny, kLayout,
+     "deferrable flushes and durability tracking"});
+  v(c.app_checkpoint.max_defer_seconds,
+    {"max_defer_seconds", "app_checkpoint.max_defer_seconds", kNonNegative,
+     kSchedule, "longest a ready flush may be parked (s)"});
+
+  v.Section("prediction.");
+  auto& pred = c.prediction;
+  v(pred.enabled, {"enabled", "prediction.enabled", kAny, kLayout,
+                   "build predictions; checkpoints hold the model"});
+  v(pred.mode,
+    {"mode", "prediction.mode", kAny, kSchedule, "learned, oracle, or null"},
+    {.rule = [&m = pred.mode]() -> std::string {
+      if (m == "learned" || m == "oracle" || m == "null") return "";
+      return "unknown mode \"" + m + "\" (known: learned, oracle, null)";
+    }});
+  v(pred.alpha, {"alpha", "prediction.alpha", kFactor, kSchedule,
+                 "EWMA smoothing factor for the learned predictor",
+                 "predict-alpha"});
+  v(pred.min_support,
+    {"min_support", "prediction.min_support", kNonNegative, kSchedule,
+     "observations before a user/project level is fully trusted",
+     "predict-min-support"});
+  v(pred.horizon_seconds,
+    {"horizon_seconds", "prediction.horizon_seconds", kPositive, kSchedule,
+     "lookahead window in seconds for imminent-burst aggregation",
+     "predict-horizon"});
+
+  v.Section("");
+  v(c.policy, {"policy", "policy.name", kAny, kSchedule, "I/O policy name"},
+    {.rule = [&c]() -> std::string {
+      if (KnownPolicyName(c.policy)) return "";  // the factory registry
+      return "unknown policy \"" + c.policy + "\" (known: " +
+             PolicyNamesHelp() + ")";
+    }});
+
+  // Planning cadence shapes only planning policies; greedy hashes skip it.
+  v.Section("plan.", IsPlanningPolicyName(c.policy));
+  VisitFields(c.plan, v);
+
+  v.Section("");
+  v(c.track_bandwidth, {"track_bandwidth", nullptr, kAny, kLayout,
+                        "bandwidth summary; checkpoints hold it"});
+  v(c.enforce_walltime,
+    {"enforce_walltime", "simulation.enforce_walltime", kAny, kSchedule,
+     "kill jobs at their requested walltime"});
+
+  v.Section("burst_buffer.");
+  auto& bb = c.burst_buffer;
+  v(bb.capacity_gb,
+    {"capacity_gb", "burst_buffer.capacity_gb", kNonNegative, kSchedule,
+     "burst-buffer capacity in GB (0 = no buffer; a positive value enables "
+     "the tier with the --bb-drain rate)",
+     "bb-capacity"});
+  v(bb.drain_gbps, {"drain_gbps", "burst_buffer.drain_gbps", kNonNegative,
+                    kSchedule, "PFS bandwidth reserved for the drain (GB/s)"});
+  v(bb.absorb_gbps,
+    {"absorb_gbps", "burst_buffer.absorb_gbps", kNonNegative, kSchedule,
+     "absorb-tier bandwidth cap in GB/s (0 = job link rate)", "bb-absorb"});
+  v(bb.per_job_quota_gb,
+    {"per_job_quota_gb", "burst_buffer.per_job_quota_gb", kNonNegative,
+     kSchedule, "per-job burst-buffer staging quota in GB (0 = uncapped)",
+     "bb-quota"});
+  v(bb.congestion_watermark,
+    {"congestion_watermark", "burst_buffer.congestion_watermark", kFactor,
+     kExcluded,
+     "occupancy fraction reported as congestion; feeds obs spans and "
+     "bb_congested_cycles only",
+     "bb-watermark"});
+
+  v.Section("faults.plan_config.");
+  faults::VisitFields(c.faults.plan_config, v);
+
+  v.Section("faults.");
+  v(c.faults.explicit_plan,
+    {"explicit_plan", nullptr, kAny, kSchedule, "written-out fault windows"},
+    {.rule = [&c] {
+      const faults::FaultPlan& plan = c.faults.explicit_plan;
+      return plan.Empty() ? std::string() : plan.Validate();
+    }});
+  v(c.faults.restart_mode,
+    {"restart_mode", "faults.restart", kAny, kSchedule,
+     "what a requeued job re-runs: zero, resume, or app_checkpoint"});
+
+  v.Section("obs.");
+  v(c.obs.enabled, {"enabled", "obs.enabled", kAny, kSchedule,
+                    "counters, tracer, sampler; ticks take event ids"});
+  v(c.obs.sample_dt_seconds,
+    {"sample_dt_seconds", "obs.sample_dt_seconds",
+     {kNonNegative.holds, "must be >= 0 (0 disables sampling)"}, kSchedule,
+     "sampling period (s); hashed as 0 while obs is off"},
+    {.hash_as = c.obs.enabled ? c.obs.sample_dt_seconds : 0.0});
+  v(c.obs.trace_capacity, {"trace_capacity", "obs.trace_capacity", kPositive,
+                           kExcluded, "tracer ring; the tracer only records"});
+
+  v.Section("");
+  v(c.warmup_fraction,
+    {"warmup_fraction", "simulation.warmup_fraction", kFraction, kExcluded,
+     "utilization window; report only"});
+  v(c.cooldown_fraction,
+    {"cooldown_fraction", "simulation.cooldown_fraction", kFraction,
+     kExcluded, "utilization window; report only"});
+  v(c.keep_bandwidth_samples, {"keep_bandwidth_samples", nullptr, kAny,
+                               kExcluded, "per-cycle series; report only"});
+  v(c.check_invariants,
+    {"check_invariants", "simulation.check_invariants", kAny, kExcluded,
+     "from-scratch audit; the audit is read-only"});
+  v(c.invariant_check_every_events,
+    {"invariant_check_every_events",
+     "simulation.invariant_check_every_events", kPositive, kExcluded,
+     "events between audits; the audit is read-only"});
+  v(c.control, {"control", nullptr, kAny, kExcluded,
+                "watchdog polling never changes the schedule"});
+
+  v.Section("checkpoint.");
+  auto& ck = c.checkpoint;
+  v(ck.directory,
+    {"directory", "checkpoint.directory", kAny, kExcluded,
+     "where checkpoints land; saving never changes the schedule"});
+  v(ck.every_sim_seconds,
+    {"every_sim_seconds", "checkpoint.every_sim_seconds", kNonNegative,
+     kExcluded, "save period (simulated s); 0 = off"});
+  v(ck.every_events, {"every_events", "checkpoint.every_events", kNonNegative,
+                      kExcluded, "save period (events); 0 = off"});
+  v(ck.every_wall_seconds,
+    {"every_wall_seconds", "checkpoint.every_wall_seconds", kNonNegative,
+     kExcluded, "save period (wall s); 0 = off"});
+  v(ck.keep_last, {"keep_last", "checkpoint.keep_last", kAny, kExcluded,
+                   "checkpoints kept; <= 0 keeps all"});
+  v(ck.resume_from, {"resume_from", nullptr, kAny, kExcluded,
+                     "checkpoint to restore; a resumed run is bit-identical"});
+  v(ck.resume_latest, {"resume_latest", "checkpoint.resume_latest", kAny,
+                       kExcluded, "restore the newest valid checkpoint"});
+}
+
+}  // namespace iosched::core

@@ -585,9 +585,7 @@ void IoScheduler::ArmPlanReview(const PlanContext& ctx) {
 }
 
 std::string PlanConfig::Validate() const {
-  if (window_seconds <= 0) return "window_seconds must be > 0";
-  if (slice_seconds <= 0) return "slice_seconds must be > 0";
-  return "";
+  return util::FirstIssue(*this);
 }
 
 void IoScheduler::ConfigurePlanning(const PlanConfig& config) {
@@ -615,16 +613,7 @@ void IoScheduler::OnAbsorbedComplete(workload::JobId id, double duration) {
 }
 
 std::string TransferRetryConfig::Validate() const {
-  if (timeout_seconds < 0) return "timeout_seconds must be >= 0";
-  if (max_retries < 0) return "max_retries must be >= 0";
-  if (backoff_base_seconds <= 0) return "backoff_base_seconds must be > 0";
-  if (backoff_max_seconds < backoff_base_seconds) {
-    return "backoff_max_seconds must be >= backoff_base_seconds";
-  }
-  if (backoff_jitter_fraction < 0 || backoff_jitter_fraction >= 1.0) {
-    return "backoff_jitter_fraction must be in [0, 1)";
-  }
-  return "";
+  return util::FirstIssue(*this);
 }
 
 void IoScheduler::SetRetryConfig(const TransferRetryConfig& config) {

@@ -27,6 +27,7 @@
 #include "storage/backend.h"
 #include "storage/burst_buffer.h"
 #include "storage/storage_model.h"
+#include "util/field_table.h"
 #include "util/rng.h"
 #include "workload/job.h"
 
@@ -43,25 +44,46 @@ namespace iosched::core {
 /// after `max_retries` resubmissions the transfer runs unwatched to
 /// completion, so a pathological straggler degrades throughput but can never
 /// wedge a job.
+/// Each member's meaning and range is its row in VisitFields below.
 struct TransferRetryConfig {
-  /// Deadline per transfer attempt (seconds); 0 disables timeouts entirely.
   double timeout_seconds = 0.0;
-  /// Resubmissions before the transfer runs unwatched.
   int max_retries = 3;
-  /// First backoff delay (seconds); doubles per retry.
   double backoff_base_seconds = 30.0;
-  /// Backoff ceiling (seconds); the doubling clamps here.
   double backoff_max_seconds = 600.0;
-  /// Optional seeded jitter: each delay is scaled by a uniform factor in
-  /// [1 - f, 1 + f]. 0 disables (no RNG draws).
   double backoff_jitter_fraction = 0.0;
-  /// Seed for the jitter draws.
   std::uint64_t jitter_seed = 1;
 
   bool enabled() const { return timeout_seconds > 0; }
-  /// Error description, or empty when valid.
+  /// The first rule a member breaks, or "" (the rules are the rows below).
   std::string Validate() const;
 };
+
+template <util::MaybeConst<TransferRetryConfig> C, class V>
+void VisitFields(C& c, V& v) {
+  using util::kAny, util::kFraction, util::kNonNegative, util::kPositive;
+  constexpr auto kSchedule = util::HashClass::kSchedule;
+  v(c.timeout_seconds,
+    {"timeout_seconds", "transfer_retry.timeout_seconds", kNonNegative,
+     kSchedule, "per-attempt deadline (s); 0 = unwatched"});
+  v(c.max_retries, {"max_retries", "transfer_retry.max_retries", kNonNegative,
+                    kSchedule, "resubmissions before running unwatched"});
+  v(c.backoff_base_seconds,
+    {"backoff_base_seconds", "transfer_retry.backoff_base_seconds", kPositive,
+     kSchedule, "first retry delay (s), doubled per retry"});
+  v(c.backoff_max_seconds,
+    {"backoff_max_seconds", "transfer_retry.backoff_max_seconds", kAny,
+     kSchedule, "retry delay cap (s)"},
+    {.rule = [&c] {
+      return c.backoff_max_seconds < c.backoff_base_seconds
+                 ? "must be >= backoff_base_seconds"
+                 : "";
+    }});
+  v(c.backoff_jitter_fraction,
+    {"backoff_jitter_fraction", "transfer_retry.backoff_jitter_fraction",
+     kFraction, kSchedule, "delays scale by U[1 - f, 1 + f]; 0 = no draws"});
+  v(c.jitter_seed, {"jitter_seed", "transfer_retry.jitter_seed", kAny,
+                    kSchedule, "seed of the retry scatter"});
+}
 
 /// Replan cadence for planning policies (PERIODIC, PLAN_BF). The scheduler
 /// asks the policy for a fresh plan when the standing one expires
@@ -71,19 +93,27 @@ struct TransferRetryConfig {
 /// churn trigger), or when the policy reports PlanInvalidated. Greedy
 /// policies ignore all of this: their plans never expire and they replan
 /// only on (free) pointer-latching Plan calls after a restore.
+/// Each member's meaning and range is its row in VisitFields below.
 struct PlanConfig {
-  /// Planning-window length (seconds); also handed to the policy as the
-  /// horizon it should plan for. Must be > 0.
   double window_seconds = 600.0;
-  /// Pattern slice length for PERIODIC (seconds). Must be > 0.
   double slice_seconds = 30.0;
-  /// Replan after this many scheduling cycles under one plan (0 = only the
-  /// window / invalidation triggers).
   std::uint64_t churn_cycles = 0;
 
-  /// Error description, or empty when valid.
+  /// The first rule a member breaks, or "" (the rules are the rows below).
   std::string Validate() const;
 };
+
+template <util::MaybeConst<PlanConfig> C, class V>
+void VisitFields(C& c, V& v) {
+  using util::kNonNegative, util::kPositive;
+  constexpr auto kSchedule = util::HashClass::kSchedule;
+  v(c.window_seconds, {"window_seconds", "plan.window_seconds", kPositive,
+                       kSchedule, "plan lifetime and horizon (s)"});
+  v(c.slice_seconds, {"slice_seconds", "plan.slice_seconds", kPositive,
+                      kSchedule, "PERIODIC pattern slice (s)"});
+  v(c.churn_cycles, {"churn_cycles", "plan.churn_cycles", kNonNegative,
+                     kSchedule, "replan after N cycles; 0 = never"});
+}
 
 /// Checkpoint-flush-aware scheduling (application checkpoint traffic). When
 /// enabled, I/O requests submitted with the flush flag become *deferrable*:

@@ -53,7 +53,7 @@ struct PredictionConfig {
   /// (exact per-job profile read from the trace; upper-bounds the value of
   /// prediction), or "null" (always no-signal; lower bound).
   std::string mode = "learned";
-  /// EWMA smoothing factor for the learned mode, in (0, 1].
+  /// EWMA smoothing factor for the learned mode.
   double alpha = 0.25;
   /// Observations before a provenance level fully overrides its fallback.
   std::size_t min_support = 3;

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "ckpt/serializer.h"
+#include "core/config_fields.h"
 #include "core/invariants.h"
 #include "core/io_scheduler.h"
 #include "core/policy_factory.h"
@@ -1269,63 +1270,14 @@ std::vector<ConfigIssue> SimulationConfig::Validate() const {
   auto add = [&issues](const char* field, std::string message) {
     issues.push_back({field, std::move(message)});
   };
+  util::IssueVisitor rows;
+  VisitFields(*this, rows);
+  for (auto& [field, message] : rows.issues) issues.push_back({field, message});
 
-  if (machine.nodes_per_midplane <= 0) {
-    add("machine.nodes_per_midplane", "must be positive");
-  }
-  if (machine.midplanes_per_row <= 0) {
-    add("machine.midplanes_per_row", "must be positive");
-  }
-  if (machine.rows <= 0) add("machine.rows", "must be positive");
-  if (machine.node_bandwidth_gbps <= 0) {
-    add("machine.node_bandwidth_gbps", "must be positive");
-  }
-
-  if (storage.max_bandwidth_gbps <= 0) {
-    add("storage.max_bandwidth_gbps", "must be positive");
-  }
-
-  // The factory registry is the single source of truth for names (it also
-  // accepts the lowercase aliases the figure list omits).
-  if (!KnownPolicyName(policy)) {
-    add("policy", "unknown policy \"" + policy + "\" (known: " +
-                      PolicyNamesHelp() + ")");
-  }
-
-  {
-    std::string err = plan.Validate();
-    if (!err.empty()) add("plan", std::move(err));
-  }
-
-  if (warmup_fraction < 0 || warmup_fraction >= 1) {
-    add("warmup_fraction", "must be in [0, 1)");
-  }
-  if (cooldown_fraction < 0 || cooldown_fraction >= 1) {
-    add("cooldown_fraction", "must be in [0, 1)");
-  }
+  // Cross-field rules.
   if (warmup_fraction >= 0 && cooldown_fraction >= 0 &&
       warmup_fraction + cooldown_fraction >= 1) {
     add("warmup_fraction", "warmup + cooldown must leave a stable window");
-  }
-
-  if (batch.max_retries < 0) add("batch.max_retries", "must be >= 0");
-  if (batch.requeue_backoff_seconds < 0) {
-    add("batch.requeue_backoff_seconds", "must be >= 0");
-  }
-  if (batch.max_backoff_seconds < 0) {
-    add("batch.max_backoff_seconds", "must be >= 0");
-  }
-  if (batch.backoff_jitter_fraction < 0 || batch.backoff_jitter_fraction >= 1) {
-    add("batch.backoff_jitter_fraction", "must be in [0, 1)");
-  }
-
-  {
-    std::string err = transfer_retry.Validate();
-    if (!err.empty()) add("transfer_retry", std::move(err));
-  }
-
-  if (app_checkpoint.max_defer_seconds < 0) {
-    add("app_checkpoint.max_defer_seconds", "must be >= 0");
   }
   if (faults.restart_mode == faults::RestartMode::kRestartFromAppCheckpoint &&
       !app_checkpoint.enabled) {
@@ -1334,33 +1286,7 @@ std::vector<ConfigIssue> SimulationConfig::Validate() const {
         "engine must track flush durability to know where to restart)");
   }
 
-  if (prediction.mode != "learned" && prediction.mode != "oracle" &&
-      prediction.mode != "null") {
-    add("prediction.mode",
-        "unknown mode \"" + prediction.mode +
-            "\" (known: learned, oracle, null)");
-  }
-  if (prediction.alpha <= 0 || prediction.alpha > 1) {
-    add("prediction.alpha", "must be in (0, 1]");
-  }
-  if (prediction.horizon_seconds <= 0) {
-    add("prediction.horizon_seconds", "must be positive");
-  }
-  if (check_invariants && invariant_check_every_events == 0) {
-    add("invariant_check_every_events",
-        "must be positive when check_invariants is set");
-  }
-
   const storage::BurstBufferConfig& bb = burst_buffer;
-  if (bb.capacity_gb < 0) add("burst_buffer.capacity_gb", "must be >= 0");
-  if (bb.drain_gbps < 0) add("burst_buffer.drain_gbps", "must be >= 0");
-  if (bb.absorb_gbps < 0) add("burst_buffer.absorb_gbps", "must be >= 0");
-  if (bb.per_job_quota_gb < 0) {
-    add("burst_buffer.per_job_quota_gb", "must be >= 0");
-  }
-  if (bb.congestion_watermark <= 0 || bb.congestion_watermark > 1) {
-    add("burst_buffer.congestion_watermark", "must be in (0, 1]");
-  }
   if ((bb.capacity_gb > 0) != (bb.drain_gbps > 0)) {
     add("burst_buffer",
         "capacity_gb and drain_gbps must both be positive to enable the "
@@ -1372,52 +1298,9 @@ std::vector<ConfigIssue> SimulationConfig::Validate() const {
         "drain must stay below storage.max_bandwidth_gbps (the drain is "
         "carved out of the PFS budget)");
   }
-
-  const faults::FaultPlanConfig& fp = faults.plan_config;
-  if (fp.degraded_fraction < 0 || fp.degraded_fraction >= 1) {
-    add("faults.plan_config.degraded_fraction", "must be in [0, 1)");
-  }
-  if (fp.degradation_factor <= 0 || fp.degradation_factor > 1) {
-    add("faults.plan_config.degradation_factor", "must be in (0, 1]");
-  }
-  if (fp.degraded_window_seconds < 0) {
-    add("faults.plan_config.degraded_window_seconds", "must be >= 0");
-  }
-  if (fp.midplane_outages < 0) {
-    add("faults.plan_config.midplane_outages", "must be >= 0");
-  }
-  if (fp.midplane_outage_seconds < 0) {
-    add("faults.plan_config.midplane_outage_seconds", "must be >= 0");
-  }
-  if (fp.job_kill_probability < 0 || fp.job_kill_probability > 1) {
-    add("faults.plan_config.job_kill_probability", "must be in [0, 1]");
-  }
-  if (fp.bb_faults < 0) add("faults.plan_config.bb_faults", "must be >= 0");
-  if (fp.bb_fault_seconds < 0) {
-    add("faults.plan_config.bb_fault_seconds", "must be >= 0");
-  }
-  if (fp.drain_degraded_fraction < 0 || fp.drain_degraded_fraction >= 1) {
-    add("faults.plan_config.drain_degraded_fraction", "must be in [0, 1)");
-  }
-  if (fp.drain_degradation_factor <= 0 || fp.drain_degradation_factor > 1) {
-    add("faults.plan_config.drain_degradation_factor", "must be in (0, 1]");
-  }
-  if (fp.drain_window_seconds < 0) {
-    add("faults.plan_config.drain_window_seconds", "must be >= 0");
-  }
-  if (fp.straggler_probability < 0 || fp.straggler_probability > 1) {
-    add("faults.plan_config.straggler_probability", "must be in [0, 1]");
-  }
-  if (fp.straggler_probability > 0 &&
-      (fp.straggler_factor <= 0 || fp.straggler_factor >= 1)) {
-    add("faults.plan_config.straggler_factor", "must be in (0, 1)");
-  }
-  if (!faults.explicit_plan.Empty()) {
-    std::string err = faults.explicit_plan.Validate();
-    if (!err.empty()) add("faults.explicit_plan", err);
-  }
   {
     // Burst-buffer fault windows are meaningless without the tier.
+    const faults::FaultPlanConfig& fp = faults.plan_config;
     const bool wants_bb_faults =
         (fp.enabled &&
          (fp.bb_faults > 0 || fp.drain_degraded_fraction > 0)) ||
@@ -1430,16 +1313,6 @@ std::vector<ConfigIssue> SimulationConfig::Validate() const {
     }
   }
 
-  if (obs.sample_dt_seconds < 0) {
-    add("obs.sample_dt_seconds", "must be >= 0 (0 disables sampling)");
-  }
-
-  if (checkpoint.every_sim_seconds < 0) {
-    add("checkpoint.every_sim_seconds", "must be >= 0");
-  }
-  if (checkpoint.every_wall_seconds < 0) {
-    add("checkpoint.every_wall_seconds", "must be >= 0");
-  }
   if (checkpoint.directory.empty() &&
       (checkpoint.every_sim_seconds > 0 || checkpoint.every_events > 0 ||
        checkpoint.every_wall_seconds > 0)) {
@@ -1460,125 +1333,70 @@ SimulationConfig SimulationConfig::Builder::Build() const {
   return config_;
 }
 
+namespace {
+
+/// Mixes every hashed row, in table order.
+struct HashVisitor : util::FieldVisitor {
+  std::uint64_t h = metrics::kFnvOffset;
+
+  template <class T>
+  void operator()(const T& value, const util::Field& field,
+                  const util::RowExtra& extra = {}) {
+    if (!hashed || field.hash == util::HashClass::kExcluded) return;
+    if (extra.hash_as) {
+      h = metrics::FnvMix(h, *extra.hash_as);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      h = MixStr(h, value);
+    } else if constexpr (std::is_same_v<T, faults::FaultPlan>) {
+      MixExplicitPlan(value);
+    } else if constexpr (std::is_arithmetic_v<T> || std::is_enum_v<T>) {
+      Mix(value);
+    } else {
+      throw std::logic_error("no hash term for " + Path(field));
+    }
+  }
+
+  template <class T>
+  void Mix(const T& value) {
+    if constexpr (std::is_floating_point_v<T>) {
+      h = metrics::FnvMix(h, value);
+    } else {
+      h = metrics::FnvMix(h, static_cast<std::uint64_t>(value));
+    }
+  }
+
+  void MixExplicitPlan(const faults::FaultPlan& plan) {
+    // A window list mixes its length, then each window's start, end and
+    // payload.
+    auto windows = [this](const auto& list, auto payload) {
+      Mix(list.size());
+      for (const auto& window : list) {
+        Mix(window.start);
+        Mix(window.end);
+        Mix(window.*payload);
+      }
+    };
+    windows(plan.degradations, &faults::StorageDegradation::bandwidth_factor);
+    windows(plan.outages, &faults::MidplaneOutage::midplane);
+    Mix(plan.job_kill_probability);
+    Mix(plan.kill_seed);
+    windows(plan.bb_faults, &faults::BurstBufferFault::lose_data);
+    windows(plan.drain_degradations, &faults::DrainDegradation::drain_factor);
+    Mix(plan.straggler_probability);
+    Mix(plan.straggler_factor);
+    Mix(plan.straggler_seed);
+    Mix(plan.job_mtbf_seconds);
+    Mix(plan.mtbf_seed);
+  }
+};
+
+}  // namespace
+
 std::uint64_t SimulationConfigHash(const SimulationConfig& config,
                                    const workload::Workload& jobs) {
-  using metrics::FnvMix;
-  std::uint64_t h = metrics::kFnvOffset;
-  // Machine geometry + link speed.
-  h = FnvMix(h, static_cast<std::uint64_t>(config.machine.nodes_per_midplane));
-  h = FnvMix(h, static_cast<std::uint64_t>(config.machine.midplanes_per_row));
-  h = FnvMix(h, static_cast<std::uint64_t>(config.machine.rows));
-  h = FnvMix(h, config.machine.node_bandwidth_gbps);
-  // Storage.
-  h = FnvMix(h, config.storage.max_bandwidth_gbps);
-  h = FnvMix(h, static_cast<std::uint64_t>(config.storage.enforce_capacity));
-  // Batch scheduler. incremental_order is deliberately excluded: both order
-  // paths produce bit-identical schedules, so checkpoints are
-  // interchangeable across the toggle.
-  h = FnvMix(h, static_cast<std::uint64_t>(config.batch.order));
-  h = FnvMix(h, static_cast<std::uint64_t>(config.batch.easy_backfill));
-  h = FnvMix(h, static_cast<std::uint64_t>(config.batch.max_retries));
-  h = FnvMix(h, config.batch.requeue_backoff_seconds);
-  h = FnvMix(h, config.batch.max_backoff_seconds);
-  h = FnvMix(h, config.batch.backoff_jitter_fraction);
-  h = FnvMix(h, config.batch.backoff_jitter_seed);
-  // Transfer deadlines/retries reshape the event schedule when enabled.
-  h = FnvMix(h, config.transfer_retry.timeout_seconds);
-  h = FnvMix(h, static_cast<std::uint64_t>(config.transfer_retry.max_retries));
-  h = FnvMix(h, config.transfer_retry.backoff_base_seconds);
-  h = FnvMix(h, config.transfer_retry.backoff_max_seconds);
-  h = FnvMix(h, config.transfer_retry.backoff_jitter_fraction);
-  h = FnvMix(h, config.transfer_retry.jitter_seed);
-  // App-checkpoint flush scheduling: deferral decisions reshape the event
-  // schedule, and the enabled flag changes the checkpoint layout.
-  h = FnvMix(h, static_cast<std::uint64_t>(config.app_checkpoint.enabled));
-  h = FnvMix(h, config.app_checkpoint.max_defer_seconds);
-  // Prediction: shapes both the schedule (prediction-aware policies) and
-  // the checkpoint layout (predictor state section).
-  h = FnvMix(h, static_cast<std::uint64_t>(config.prediction.enabled));
-  h = MixStr(h, config.prediction.mode);
-  h = FnvMix(h, config.prediction.alpha);
-  h = FnvMix(h, static_cast<std::uint64_t>(config.prediction.min_support));
-  h = FnvMix(h, config.prediction.horizon_seconds);
-  // check_invariants is deliberately excluded: the checker is read-only.
-  // Policy + engine switches that shape the schedule.
-  h = MixStr(h, config.policy);
-  // Replan cadence: shapes the schedule (and checkpoint plan section) only
-  // under a planning policy. Mixing it conditionally keeps every greedy
-  // config hash identical to pre-planning builds, so their checkpoints stay
-  // mutually resumable.
-  if (IsPlanningPolicyName(config.policy)) {
-    h = FnvMix(h, config.plan.window_seconds);
-    h = FnvMix(h, config.plan.slice_seconds);
-    h = FnvMix(h, config.plan.churn_cycles);
-  }
-  h = FnvMix(h, static_cast<std::uint64_t>(config.track_bandwidth));
-  h = FnvMix(h, static_cast<std::uint64_t>(config.enforce_walltime));
-  // Burst buffer. The congestion watermark is deliberately excluded: it
-  // only shapes observability output, never the schedule.
-  h = FnvMix(h, config.burst_buffer.capacity_gb);
-  h = FnvMix(h, config.burst_buffer.drain_gbps);
-  h = FnvMix(h, config.burst_buffer.absorb_gbps);
-  h = FnvMix(h, config.burst_buffer.per_job_quota_gb);
-  // Faults: generation parameters and the explicit plan both pin the
-  // schedule.
-  const faults::FaultPlanConfig& fp = config.faults.plan_config;
-  h = FnvMix(h, static_cast<std::uint64_t>(fp.enabled));
-  h = FnvMix(h, fp.seed);
-  h = FnvMix(h, fp.degraded_fraction);
-  h = FnvMix(h, fp.degradation_factor);
-  h = FnvMix(h, fp.degraded_window_seconds);
-  h = FnvMix(h, static_cast<std::uint64_t>(fp.midplane_outages));
-  h = FnvMix(h, fp.midplane_outage_seconds);
-  h = FnvMix(h, fp.job_kill_probability);
-  h = FnvMix(h, static_cast<std::uint64_t>(fp.bb_faults));
-  h = FnvMix(h, fp.bb_fault_seconds);
-  h = FnvMix(h, static_cast<std::uint64_t>(fp.bb_fault_lose_data));
-  h = FnvMix(h, fp.drain_degraded_fraction);
-  h = FnvMix(h, fp.drain_degradation_factor);
-  h = FnvMix(h, fp.drain_window_seconds);
-  h = FnvMix(h, fp.straggler_probability);
-  h = FnvMix(h, fp.straggler_factor);
-  h = FnvMix(h, fp.job_mtbf_seconds);
-  const faults::FaultPlan& plan = config.faults.explicit_plan;
-  h = FnvMix(h, static_cast<std::uint64_t>(plan.degradations.size()));
-  for (const faults::StorageDegradation& d : plan.degradations) {
-    h = FnvMix(h, d.start);
-    h = FnvMix(h, d.end);
-    h = FnvMix(h, d.bandwidth_factor);
-  }
-  h = FnvMix(h, static_cast<std::uint64_t>(plan.outages.size()));
-  for (const faults::MidplaneOutage& o : plan.outages) {
-    h = FnvMix(h, o.start);
-    h = FnvMix(h, o.end);
-    h = FnvMix(h, static_cast<std::uint64_t>(o.midplane));
-  }
-  h = FnvMix(h, plan.job_kill_probability);
-  h = FnvMix(h, plan.kill_seed);
-  h = FnvMix(h, static_cast<std::uint64_t>(plan.bb_faults.size()));
-  for (const faults::BurstBufferFault& f : plan.bb_faults) {
-    h = FnvMix(h, f.start);
-    h = FnvMix(h, f.end);
-    h = FnvMix(h, static_cast<std::uint64_t>(f.lose_data));
-  }
-  h = FnvMix(h, static_cast<std::uint64_t>(plan.drain_degradations.size()));
-  for (const faults::DrainDegradation& d : plan.drain_degradations) {
-    h = FnvMix(h, d.start);
-    h = FnvMix(h, d.end);
-    h = FnvMix(h, d.drain_factor);
-  }
-  h = FnvMix(h, plan.straggler_probability);
-  h = FnvMix(h, plan.straggler_factor);
-  h = FnvMix(h, plan.straggler_seed);
-  h = FnvMix(h, plan.job_mtbf_seconds);
-  h = FnvMix(h, plan.mtbf_seed);
-  h = FnvMix(h, static_cast<std::uint64_t>(config.faults.restart_mode));
-  // Observability: sampler ticks consume event ids, so sampling must match.
-  h = FnvMix(h, static_cast<std::uint64_t>(config.obs.enabled));
-  h = FnvMix(h, config.obs.enabled ? config.obs.sample_dt_seconds : 0.0);
-  // The workload itself.
-  h = FnvMix(h, workload::WorkloadFingerprint(jobs));
-  return h;
+  HashVisitor visitor;
+  VisitFields(config, visitor);
+  return metrics::FnvMix(visitor.h, workload::WorkloadFingerprint(jobs));
 }
 
 SimulationResult RunSimulation(const SimulationConfig& config,

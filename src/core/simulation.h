@@ -103,9 +103,8 @@ struct SimulationConfig {
   /// Also keep the raw per-cycle series and return it in the result (for
   /// timeline rendering). Off by default: the series grows with every cycle
   /// (40 B each, ~3.8M cycles in a year), and checkpoints then carry it in
-  /// a `bandwidth_samples` section. Report-only, so outside the config
-  /// hash; resuming with it set from a file saved without it throws
-  /// ckpt::ConfigMismatchError rather than return a truncated series.
+  /// a `bandwidth_samples` section. Resuming with it set from a file saved
+  /// without it throws ckpt::ConfigMismatchError.
   bool keep_bandwidth_samples = false;
   /// Kill jobs at their requested walltime, as the production Cobalt does.
   /// Off by default: the paper lets congestion-stretched jobs run out, and
@@ -140,8 +139,7 @@ struct SimulationConfig {
   PredictionConfig prediction;
   /// Replan cadence for planning policies (PERIODIC, PLAN_BF): window
   /// length, pattern slice length, optional churn-cycle trigger. Ignored by
-  /// the greedy family, and excluded from the checkpoint config hash for
-  /// greedy policies so their hashes are untouched by the defaults.
+  /// the greedy family.
   PlanConfig plan;
   /// Run the from-scratch InvariantChecker alongside the simulation: every
   /// `invariant_check_every_events` events (and once after the queue
@@ -154,9 +152,8 @@ struct SimulationConfig {
   /// Observability settings (counters + tracer + time-series sampler).
   /// Drivers that honor `obs.enabled` construct an obs::Hub from these and
   /// pass it to RunSimulation; the engine itself only sees the Hub pointer.
-  /// Callers passing a hub MUST keep it consistent with these settings —
-  /// the checkpoint config hash covers `obs.enabled`/`sample_dt_seconds`
-  /// because sampler ticks consume event ids.
+  /// Callers passing a hub MUST keep it consistent with these settings:
+  /// sampler ticks consume event ids.
   obs::Options obs;
   /// Periodic checkpointing + resume (disabled by default). Resume-equiv
   /// guarantee: a run restored from any checkpoint produces records
@@ -165,9 +162,10 @@ struct SimulationConfig {
   /// Optional watchdog handle (see RunControl); null disables polling.
   RunControl* control = nullptr;
 
-  /// Check every field and return the full list of problems (empty = valid).
-  /// RunSimulation calls this first and throws ConfigValidationError when
-  /// anything is wrong, so a bad config fails before any state is built.
+  /// Check every field (core/config_fields.h) and return the full list of
+  /// problems (empty = valid). RunSimulation calls this first and throws
+  /// ConfigValidationError when anything is wrong, so a bad config fails
+  /// before any state is built.
   std::vector<ConfigIssue> Validate() const;
 
   class Builder;
@@ -313,12 +311,10 @@ struct SimulationResult {
   std::string resumed_from;
 };
 
-/// FNV-1a fingerprint over every configuration field that shapes the event
-/// schedule, plus the workload fingerprint. Stamped into checkpoints; a
-/// resume whose recomputed hash differs is rejected with
-/// ckpt::ConfigMismatchError instead of silently diverging. Fields that
-/// only affect post-run reporting (warmup/cooldown fractions,
-/// keep_bandwidth_samples) are deliberately excluded.
+/// FNV-1a fingerprint over every field the field table
+/// (core/config_fields.h) does not exclude, plus the workload fingerprint.
+/// Stamped into checkpoints; a resume whose recomputed hash differs is
+/// rejected with ckpt::ConfigMismatchError instead of silently diverging.
 std::uint64_t SimulationConfigHash(const SimulationConfig& config,
                                    const workload::Workload& jobs);
 

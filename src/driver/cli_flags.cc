@@ -1,7 +1,11 @@
 #include "driver/cli_flags.h"
 
 #include <cstdio>
+#include <stdexcept>
+#include <string>
+#include <string_view>
 
+#include "core/config_fields.h"
 #include "driver/config_scenario.h"
 #include "workload/app_checkpoint.h"
 #include "workload/iotrace.h"
@@ -19,29 +23,54 @@ void AddScenarioFlags(util::CliParser& cli) {
   cli.AddFlag("factor", "1.0", "I/O expansion factor applied to the workload");
 }
 
+namespace {
+
+/// Declares into `declare`, or applies from `apply`, the single-field flags
+/// of the table section `only`: a declared flag's help is the row's doc and
+/// its default the member initializer. Values are not range-checked here;
+/// SimulationConfig::Validate applies the same rows' rules.
+struct FlagVisitor : util::FieldVisitor {
+  std::string_view only;
+  util::CliParser* declare;
+  const util::CliParser* apply;
+
+  template <class T>
+  void operator()(T& value, const util::Field& field,
+                  const util::RowExtra& = {}) {
+    if constexpr (util::kHasText<T>) {
+      if (field.flag == nullptr || prefix != only) return;
+      if (declare != nullptr) {
+        declare->AddFlag(field.flag, util::FormatValue(value), field.doc);
+      }
+      using util::ParseValue;  // enums parse through their own overload
+      if (apply != nullptr && apply->Provided(field.flag) &&
+          !ParseValue(apply->GetString(field.flag), value)) {
+        throw std::runtime_error("flag --" + std::string(field.flag) +
+                                 " has an invalid value: " +
+                                 apply->GetString(field.flag));
+      }
+    }
+  }
+};
+
+void AddFieldFlags(util::CliParser& cli, std::string_view section) {
+  core::SimulationConfig defaults;
+  FlagVisitor visitor{{}, section, &cli, nullptr};
+  core::VisitFields(defaults, visitor);
+}
+
+}  // namespace
+
 void AddBurstBufferFlags(util::CliParser& cli) {
-  cli.AddFlag("bb-capacity", "0",
-              "burst-buffer capacity in GB (0 = no buffer; a positive value "
-              "enables the tier with the --bb-drain rate)");
+  AddFieldFlags(cli, "burst_buffer.");
   cli.AddFlag("bb-drain", "25",
               "PFS bandwidth reserved for the burst-buffer drain in GB/s");
-  cli.AddFlag("bb-absorb", "0",
-              "absorb-tier bandwidth cap in GB/s (0 = job link rate)");
-  cli.AddFlag("bb-quota", "0",
-              "per-job burst-buffer staging quota in GB (0 = uncapped)");
-  cli.AddFlag("bb-watermark", "0.9",
-              "occupancy fraction above which the buffer reports congestion");
 }
 
 void AddPredictionFlags(util::CliParser& cli) {
+  AddFieldFlags(cli, "prediction.");
   cli.AddFlag("predict", "off",
               "I/O behaviour prediction mode: off, learned, oracle, or null");
-  cli.AddFlag("predict-alpha", "0.25",
-              "EWMA smoothing factor for the learned predictor");
-  cli.AddFlag("predict-min-support", "3",
-              "observations before a user/project level is fully trusted");
-  cli.AddFlag("predict-horizon", "300",
-              "lookahead window in seconds for imminent-burst aggregation");
 }
 
 void AddAppCheckpointFlags(util::CliParser& cli) {
@@ -107,27 +136,23 @@ Scenario ScenarioFromFlags(const util::CliParser& cli) {
 
 void ApplyBurstBufferFlags(const util::CliParser& cli,
                            core::SimulationConfig& config) {
+  FlagVisitor flags{{}, "burst_buffer.", nullptr, &cli};
+  core::VisitFields(config, flags);
   storage::BurstBufferConfig& bb = config.burst_buffer;
-  if (cli.Provided("bb-capacity")) {
-    bb.capacity_gb = cli.GetDouble("bb-capacity");
+  if (cli.Provided("bb-drain")) {
+    bb.drain_gbps = cli.GetDouble("bb-drain");
+  } else if (cli.Provided("bb-capacity") && bb.capacity_gb > 0 &&
+             bb.drain_gbps <= 0) {
     // A capacity without a drain rate is never a valid tier, so enabling
     // the buffer from the command line pulls in the drain default too.
-    if (bb.capacity_gb > 0 && bb.drain_gbps <= 0) {
-      bb.drain_gbps = cli.GetDouble("bb-drain");
-    }
-  }
-  if (cli.Provided("bb-drain")) bb.drain_gbps = cli.GetDouble("bb-drain");
-  if (cli.Provided("bb-absorb")) bb.absorb_gbps = cli.GetDouble("bb-absorb");
-  if (cli.Provided("bb-quota")) {
-    bb.per_job_quota_gb = cli.GetDouble("bb-quota");
-  }
-  if (cli.Provided("bb-watermark")) {
-    bb.congestion_watermark = cli.GetDouble("bb-watermark");
+    bb.drain_gbps = cli.GetDouble("bb-drain");
   }
 }
 
 void ApplyPredictionFlags(const util::CliParser& cli,
                           core::SimulationConfig& config) {
+  FlagVisitor flags{{}, "prediction.", nullptr, &cli};
+  core::VisitFields(config, flags);
   core::PredictionConfig& pred = config.prediction;
   if (cli.Provided("predict")) {
     std::string mode = cli.GetString("predict");
@@ -137,16 +162,6 @@ void ApplyPredictionFlags(const util::CliParser& cli,
       pred.enabled = true;
       pred.mode = mode;  // Validate() rejects unknown modes.
     }
-  }
-  if (cli.Provided("predict-alpha")) {
-    pred.alpha = cli.GetDouble("predict-alpha");
-  }
-  if (cli.Provided("predict-min-support")) {
-    pred.min_support = static_cast<std::size_t>(
-        cli.GetInt("predict-min-support"));
-  }
-  if (cli.Provided("predict-horizon")) {
-    pred.horizon_seconds = cli.GetDouble("predict-horizon");
   }
 }
 

@@ -21,12 +21,13 @@ namespace iosched::driver {
 void AddScenarioFlags(util::CliParser& cli);
 
 /// Declare the burst-buffer flags ApplyBurstBufferFlags reads:
-/// --bb-capacity, --bb-drain, --bb-absorb, --bb-quota, --bb-watermark.
+/// --bb-capacity, --bb-drain, --bb-absorb, --bb-quota, --bb-watermark (all
+/// but --bb-drain from the field table, core/config_fields.h).
 void AddBurstBufferFlags(util::CliParser& cli);
 
 /// Declare the prediction flags ApplyPredictionFlags reads:
 /// --predict (off|learned|oracle|null), --predict-alpha,
-/// --predict-min-support, --predict-horizon.
+/// --predict-min-support, --predict-horizon (the last three from the table).
 void AddPredictionFlags(util::CliParser& cli);
 
 /// Declare the application-checkpoint flags ApplyAppCheckpointFlags reads:

@@ -53,42 +53,7 @@ std::string FaultPlan::Validate() const {
 }
 
 std::string FaultPlanConfig::Validate() const {
-  if (degraded_fraction < 0 || degraded_fraction >= 1.0) {
-    return "degraded_fraction must be in [0, 1)";
-  }
-  if (degradation_factor <= 0 || degradation_factor > 1.0) {
-    return "degradation_factor must be in (0, 1]";
-  }
-  if (degraded_window_seconds <= 0) {
-    return "degraded_window_seconds must be positive";
-  }
-  if (midplane_outages < 0) return "midplane_outages must be non-negative";
-  if (midplane_outage_seconds <= 0) {
-    return "midplane_outage_seconds must be positive";
-  }
-  if (job_kill_probability < 0 || job_kill_probability > 1.0) {
-    return "job_kill_probability must be in [0, 1]";
-  }
-  if (bb_faults < 0) return "bb_faults must be non-negative";
-  if (bb_fault_seconds <= 0) return "bb_fault_seconds must be positive";
-  if (drain_degraded_fraction < 0 || drain_degraded_fraction >= 1.0) {
-    return "drain_degraded_fraction must be in [0, 1)";
-  }
-  if (drain_degradation_factor <= 0 || drain_degradation_factor > 1.0) {
-    return "drain_degradation_factor must be in (0, 1]";
-  }
-  if (drain_window_seconds <= 0) {
-    return "drain_window_seconds must be positive";
-  }
-  if (straggler_probability < 0 || straggler_probability > 1.0) {
-    return "straggler_probability must be in [0, 1]";
-  }
-  if (straggler_probability > 0 &&
-      (straggler_factor <= 0 || straggler_factor >= 1.0)) {
-    return "straggler_factor must be in (0, 1)";
-  }
-  if (job_mtbf_seconds < 0) return "job_mtbf_seconds must be >= 0";
-  return "";
+  return util::FirstIssue(*this);
 }
 
 FaultPlan BuildFaultPlan(const FaultPlanConfig& config, double horizon_seconds,

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "sim/time.h"
+#include "util/field_table.h"
 
 namespace iosched::faults {
 
@@ -97,42 +98,89 @@ struct FaultPlan {
 };
 
 /// Parameters for deterministic plan generation.
+/// Each member's meaning and range is its row in VisitFields below.
 struct FaultPlanConfig {
   bool enabled = false;
   std::uint64_t seed = 1;
-  /// Target fraction of the horizon with degraded storage, in [0, 1).
   double degraded_fraction = 0.0;
-  /// BWmax multiplier inside degraded windows, in (0, 1].
   double degradation_factor = 0.5;
-  /// Length of each degradation window (seconds).
   double degraded_window_seconds = 3600.0;
-  /// Number of midplane outages over the horizon.
   int midplane_outages = 0;
-  /// Length of each midplane outage (seconds).
   double midplane_outage_seconds = 4.0 * 3600.0;
-  /// Per-attempt mid-run kill probability, in [0, 1].
   double job_kill_probability = 0.0;
-  /// Number of burst-buffer fault windows over the horizon.
   int bb_faults = 0;
-  /// Length of each burst-buffer fault window (seconds).
   double bb_fault_seconds = 2.0 * 3600.0;
-  /// Whether buffered data is dropped when a BB fault window opens.
   bool bb_fault_lose_data = false;
-  /// Target fraction of the horizon with a degraded drain rate, in [0, 1).
   double drain_degraded_fraction = 0.0;
-  /// Drain-rate multiplier inside degraded windows, in (0, 1].
   double drain_degradation_factor = 0.5;
-  /// Length of each drain-degradation window (seconds).
   double drain_window_seconds = 3600.0;
-  /// Per-transfer straggler probability, in [0, 1].
   double straggler_probability = 0.0;
-  /// Effective-rate multiplier for straggling transfers, in (0, 1).
   double straggler_factor = 0.25;
-  /// Mean time between MTBF-driven per-job failures (seconds); 0 disables.
   double job_mtbf_seconds = 0.0;
 
+  /// The first rule a member breaks, or "" (the rules are the rows below).
   std::string Validate() const;
 };
+
+/// FaultPlanConfig's rows of the SimulationConfig field table
+/// (util/field_table.h, core/config_fields.h).
+template <util::MaybeConst<FaultPlanConfig> C, class V>
+void VisitFields(C& c, V& v) {
+  using util::kAny, util::kFactor, util::kFraction, util::kNonNegative,
+      util::kPositive, util::kProbability;
+  constexpr auto kSchedule = util::HashClass::kSchedule;
+  v(c.enabled, {"enabled", "faults.enabled", kAny, kSchedule,
+                "generate a fault plan from these rows"});
+  v(c.seed, {"seed", "faults.seed", kAny, kSchedule, "fault schedule seed"});
+  v(c.degraded_fraction,
+    {"degraded_fraction", "faults.degraded_fraction", kFraction, kSchedule,
+     "fraction of the horizon with degraded storage"});
+  v(c.degradation_factor,
+    {"degradation_factor", "faults.degradation_factor", kFactor, kSchedule,
+     "BWmax multiplier inside a degraded window"});
+  v(c.degraded_window_seconds,
+    {"degraded_window_seconds", "faults.degraded_window_seconds", kPositive,
+     kSchedule, "length of each degraded window (s)"});
+  v(c.midplane_outages,
+    {"midplane_outages", "faults.midplane_outages", kNonNegative, kSchedule,
+     "midplane service windows over the horizon"});
+  v(c.midplane_outage_seconds,
+    {"midplane_outage_seconds", "faults.midplane_outage_seconds", kPositive,
+     kSchedule, "length of each midplane outage (s)"});
+  v(c.job_kill_probability,
+    {"job_kill_probability", "faults.job_kill_probability", kProbability,
+     kSchedule, "per-attempt mid-run kill chance"});
+  v(c.bb_faults, {"bb_faults", "faults.bb_faults", kNonNegative, kSchedule,
+                  "burst-buffer capacity-loss windows"});
+  v(c.bb_fault_seconds,
+    {"bb_fault_seconds", "faults.bb_fault_seconds", kPositive, kSchedule,
+     "length of each burst-buffer fault window (s)"});
+  v(c.bb_fault_lose_data,
+    {"bb_fault_lose_data", "faults.bb_fault_lose_data", kAny, kSchedule,
+     "drop staged data when a burst-buffer fault opens"});
+  v(c.drain_degraded_fraction,
+    {"drain_degraded_fraction", "faults.drain_degraded_fraction", kFraction,
+     kSchedule, "fraction of the horizon with a slowed drain"});
+  v(c.drain_degradation_factor,
+    {"drain_degradation_factor", "faults.drain_degradation_factor", kFactor,
+     kSchedule, "drain-rate multiplier while slowed"});
+  v(c.drain_window_seconds,
+    {"drain_window_seconds", "faults.drain_window_seconds", kPositive,
+     kSchedule, "length of each slowed-drain window (s)"});
+  v(c.straggler_probability,
+    {"straggler_probability", "faults.straggler_probability", kProbability,
+     kSchedule, "per-transfer chance of a collapsed rate"});
+  v(c.straggler_factor,
+    {"straggler_factor", "faults.straggler_factor", kAny, kSchedule,
+     "effective-rate multiplier of a straggling transfer"},
+    {.rule = [&c] {
+      const bool bad = c.straggler_factor <= 0 || c.straggler_factor >= 1.0;
+      return c.straggler_probability > 0 && bad ? "must be in (0, 1)" : "";
+    }});
+  v(c.job_mtbf_seconds,
+    {"job_mtbf_seconds", "faults.job_mtbf_seconds", kNonNegative, kSchedule,
+     "mean time between per-job failures (s); 0 disables"});
+}
 
 /// Generate a plan covering `horizon_seconds` from seeded draws: the horizon
 /// is tiled into windows of `degraded_window_seconds` and exactly
@@ -163,6 +211,11 @@ enum class RestartMode {
 /// unknown names.
 RestartMode ParseRestartMode(const std::string& name);
 const char* ToString(RestartMode mode);
+/// ParseRestartMode for field-table rows (util/field_table.h).
+inline bool ParseValue(const std::string& name, RestartMode& mode) {
+  mode = ParseRestartMode(name);
+  return true;
+}
 
 /// Everything the engine needs to run with faults: either an explicit plan
 /// (which wins when non-empty) or generation parameters, plus the restart

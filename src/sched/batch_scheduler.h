@@ -75,8 +75,7 @@ class BatchScheduler {
     /// (sched/wait_queue.h) instead of re-sorting the queue from scratch
     /// each pass. Both paths produce bit-identical schedules — the toggle
     /// exists so tests can diff them and benchmarks can measure the full
-    /// re-sort reference. Excluded from the checkpoint config hash for the
-    /// same reason.
+    /// re-sort reference.
     bool incremental_order = true;
   };
 

@@ -22,6 +22,11 @@ enum class QueueOrder { kFcfs, kWfp };
 /// Parse "fcfs" / "wfp" (case-insensitive); throws on unknown names.
 QueueOrder ParseQueueOrder(const std::string& name);
 std::string ToString(QueueOrder order);
+/// ParseQueueOrder for field-table rows (util/field_table.h).
+inline bool ParseValue(const std::string& name, QueueOrder& order) {
+  order = ParseQueueOrder(name);
+  return true;
+}
 
 /// WFP priority score at time `now`; higher runs earlier.
 double WfpScore(const workload::Job& job, sim::SimTime now);

@@ -35,8 +35,10 @@ struct BurstBufferConfig {
   double absorb_gbps = 0.0;
   /// Largest simultaneous staging footprint per job (GB). 0 = uncapped.
   double per_job_quota_gb = 0.0;
-  /// Occupancy fraction above which the tier reports congestion (used for
-  /// obs episode spans and the ADAPTIVE backlog deferral).
+  /// Occupancy fraction above which the tier reports congestion. It feeds
+  /// obs episode spans and the bb_congested_cycles count only; ADAPTIVE's
+  /// backlog deferral uses its own kBacklogDeferralFraction, which is why
+  /// the config hash leaves the watermark out.
   double congestion_watermark = 0.9;
 
   bool enabled() const { return capacity_gb > 0 && drain_gbps > 0; }

@@ -1,0 +1,85 @@
+// Pinned SimulationConfigHash values. Checkpoints and resumable sweep cells
+// are keyed by this hash, so a refactor of how the hash is computed must
+// reproduce these numbers exactly; a deliberate change to what the hash
+// covers re-pins them and says why.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
+
+#include "core/simulation.h"
+#include "driver/config_scenario.h"
+#include "driver/scenario.h"
+
+namespace iosched::core {
+namespace {
+
+std::uint64_t HashOf(const driver::Scenario& scenario) {
+  return SimulationConfigHash(scenario.config, scenario.jobs);
+}
+
+/// The default config over a one-day WL1 workload.
+driver::Scenario DefaultConfigOverWl1Day() {
+  driver::Scenario scenario = driver::MakeEvaluationScenario(1, 1.0);
+  scenario.config = SimulationConfig();
+  return scenario;
+}
+
+TEST(ConfigHashPin, DefaultConfig) {
+  EXPECT_EQ(HashOf(DefaultConfigOverWl1Day()), 0x410f6dab59765562ULL);
+}
+
+TEST(ConfigHashPin, ShippedIniConfigs) {
+  EXPECT_EQ(HashOf(driver::ScenarioFromConfigFile(std::string(
+                IOSCHED_CONFIG_DIR) + "/example.ini")),
+            0x065b39310fa4c01dULL);
+  EXPECT_EQ(HashOf(driver::ScenarioFromConfigFile(std::string(
+                IOSCHED_CONFIG_DIR) + "/faults.ini")),
+            0x23c366b05ea695d1ULL);
+}
+
+TEST(ConfigHashPin, EvaluationMonths) {
+  const std::uint64_t pins[] = {0x0042d005c09af3a1ULL, 0x8f96871a37d72e88ULL,
+                                0xea0d915319d614adULL};
+  for (int month = 1; month <= 3; ++month) {
+    EXPECT_EQ(HashOf(driver::MakeEvaluationScenario(month)), pins[month - 1])
+        << "WL" << month;
+  }
+}
+
+TEST(ConfigHashPin, PlanningPolicyWithNonDefaultPlan) {
+  driver::Scenario scenario = DefaultConfigOverWl1Day();
+  scenario.config.policy = "PERIODIC";
+  scenario.config.plan.window_seconds = 1200.0;
+  scenario.config.plan.slice_seconds = 45.0;
+  scenario.config.plan.churn_cycles = 5;
+  EXPECT_EQ(HashOf(scenario), 0xb6cc344182dfab0bULL);
+}
+
+TEST(ConfigHashPin, ExplicitFaultPlan) {
+  driver::Scenario scenario = DefaultConfigOverWl1Day();
+  scenario.config.burst_buffer = {.capacity_gb = 5000.0, .drain_gbps = 20.0};
+  faults::FaultPlan& plan = scenario.config.faults.explicit_plan;
+  plan.degradations.push_back({100.0, 900.0, 0.5});
+  plan.outages.push_back({200.0, 4000.0, 3});
+  plan.bb_faults.push_back({300.0, 700.0, true});
+  plan.drain_degradations.push_back({50.0, 650.0, 0.25});
+  plan.job_kill_probability = 0.01;
+  plan.kill_seed = 7;
+  plan.straggler_probability = 0.05;
+  plan.straggler_seed = 9;
+  plan.job_mtbf_seconds = 7200.0;
+  plan.mtbf_seed = 11;
+  scenario.config.faults.restart_mode = faults::RestartMode::kRestartFromZero;
+  EXPECT_EQ(HashOf(scenario), 0x55e7f115702eb46cULL);
+}
+
+TEST(ConfigHashPin, ObsEnabled) {
+  driver::Scenario scenario = DefaultConfigOverWl1Day();
+  scenario.config.obs.enabled = true;
+  scenario.config.obs.sample_dt_seconds = 300.0;
+  EXPECT_EQ(HashOf(scenario), 0x89e315a535151d5dULL);
+}
+
+}  // namespace
+}  // namespace iosched::core

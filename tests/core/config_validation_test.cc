@@ -88,6 +88,31 @@ TEST(ConfigValidation, RunSimulationRejectsInvalidConfigUpFront) {
   }
 }
 
+TEST(ConfigValidation, FaultGenerationRulesMatchBuildFaultPlan) {
+  // Validate applies the same rows BuildFaultPlan does, so a bad generation
+  // parameter fails as a typed issue before the engine is built.
+  driver::Scenario scenario = driver::MakeTestScenario(3, 0.05, 100.0);
+  scenario.config.faults.plan_config.enabled = true;
+  scenario.config.faults.plan_config.degraded_window_seconds = 0.0;
+  try {
+    RunSimulation(scenario.config, scenario.jobs);
+    FAIL() << "expected ConfigValidationError";
+  } catch (const ConfigValidationError& e) {
+    EXPECT_TRUE(
+        HasField(e.issues(), "faults.plan_config.degraded_window_seconds"));
+  }
+  SimulationConfig mtbf;
+  mtbf.faults.plan_config.job_mtbf_seconds = -1.0;
+  EXPECT_TRUE(HasField(mtbf.Validate(), "faults.plan_config.job_mtbf_seconds"));
+}
+
+TEST(ConfigValidation, InvariantCadenceMustBePositiveEvenWhenOff) {
+  SimulationConfig config;
+  config.check_invariants = false;
+  config.invariant_check_every_events = 0;
+  EXPECT_TRUE(HasField(config.Validate(), "invariant_check_every_events"));
+}
+
 TEST(ConfigBuilder, BuildsAndValidates) {
   SimulationConfig config = SimulationConfig::Builder()
                                 .Machine(machine::MachineConfig::Small())

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/simulation.h"
 
 namespace iosched::driver {
@@ -150,6 +153,41 @@ TEST(ConfigScenario, InvalidValuesThrow) {
   EXPECT_THROW(ScenarioFromConfig(util::Config::FromString(
                    "[batch]\norder = lifo\n")),
                std::invalid_argument);
+}
+
+TEST(ConfigScenario, UnknownKeyThrowsNamingIt) {
+  try {
+    ScenarioFromConfig(util::Config::FromString(
+        "[storage]\nbwmax_gpbs = 100\n[workload]\ndays = 0.1\n"));
+    FAIL() << "a misspelt key must not be ignored";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("storage.bwmax_gpbs"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ConfigScenario, UnparsableValueThrowsNamingTheKey) {
+  try {
+    ScenarioFromConfig(util::Config::FromString(
+        "[burst_buffer]\ncapacity_gb = lots\n[workload]\ndays = 0.1\n"));
+    FAIL() << "an unparsable value must not fall back to the default";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("burst_buffer.capacity_gb"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ConfigScenario, ShippedConfigsLoadAndValidate) {
+  for (const char* name : {"example.ini", "faults.ini"}) {
+    Scenario s = ScenarioFromConfigFile(std::string(IOSCHED_CONFIG_DIR) +
+                                        "/" + name);
+    EXPECT_GT(s.jobs.size(), 0u) << name;
+    std::vector<core::ConfigIssue> issues = s.config.Validate();
+    EXPECT_TRUE(issues.empty())
+        << name << ": " << (issues.empty() ? "" : issues[0].field);
+  }
 }
 
 TEST(ConfigScenario, ConfiguredScenarioRuns) {
