@@ -1,7 +1,7 @@
 // Microbenchmarks of the framework's hot components (google-benchmark):
 // event queue, RNG, knapsack DP, policy scheduling cycles, storage model
-// rate updates, partition allocator, EASY shadow time, and an end-to-end
-// simulation day.
+// rate updates, partition allocator, EASY shadow time, an end-to-end
+// simulation day, and the workload fingerprint checkpoints are keyed by.
 //
 // The binary doubles as the simulation-core regression harness. Run with
 //   micro_components --core-json=BENCH_core.json [--replay-days=30]
@@ -44,6 +44,7 @@
 #include "storage/storage_model.h"
 #include "util/atomic_file.h"
 #include "util/rng.h"
+#include "workload/workload.h"
 
 namespace {
 
@@ -233,6 +234,24 @@ BENCHMARK_CAPTURE(BM_SimulateOneDay, baseline, "BASE_LINE")
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_SimulateOneDay, adaptive, "ADAPTIVE")
     ->Unit(benchmark::kMillisecond);
+
+// The workload half of the checkpoint config hash, paid once by every
+// checkpointing replay and once by every resume. Arg 0: WL1, the month
+// replays' workload; Arg 1: the first 30 days of the year scenario.
+void BM_WorkloadFingerprint(benchmark::State& state) {
+  const driver::Scenario scenario = state.range(0) == 0
+                                        ? driver::MakeEvaluationScenario(1)
+                                        : driver::MakeYearScenario(30.0);
+  std::size_t phases = 0;
+  for (const workload::Job& job : scenario.jobs) phases += job.phases.size();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(workload::WorkloadFingerprint(scenario.jobs));
+  }
+  state.counters["jobs"] = static_cast<double>(scenario.jobs.size());
+  state.counters["phases"] = static_cast<double>(phases);
+}
+BENCHMARK(BM_WorkloadFingerprint)->Arg(0)->Arg(1)->Unit(
+    benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
 // Regression harness (--core-json mode): hand-rolled component timers plus

@@ -2,10 +2,15 @@
 //
 // Layout (all integers little-endian):
 //   magic            8 bytes  "IOSCKPT1"
-//   format_version   u32      bumped on any incompatible layout change
-//   config_hash      u64      fingerprint of the run configuration +
-//                             workload; a resume against a different
-//                             config must fail, not silently diverge
+//   format_version   u32      bumped on any incompatible layout change,
+//                             and when the config hash's algorithm
+//                             changes (v5: word-wide workload
+//                             fingerprint), so an old file fails as
+//                             VersionError rather than a config mismatch
+//   config_hash      u64      core::SimulationConfigHash: the run
+//                             configuration + workload fingerprint; a
+//                             resume against a different config must
+//                             fail, not silently diverge
 //   section_count    u32
 //   per section:
 //     name           u32 length + bytes
@@ -55,7 +60,7 @@ class ConfigMismatchError : public CheckpointError {
 };
 
 inline constexpr std::string_view kMagic = "IOSCKPT1";
-inline constexpr std::uint32_t kFormatVersion = 4;
+inline constexpr std::uint32_t kFormatVersion = 5;
 
 /// In-memory checkpoint: named binary sections plus the config hash.
 /// Built section-by-section on save; fully decoded and CRC-verified on

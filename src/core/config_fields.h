@@ -1,7 +1,8 @@
 // The SimulationConfig field table (util/field_table.h): one row per field
 // of SimulationConfig and its sub-structs. The rows of FaultPlanConfig,
-// TransferRetryConfig and PlanConfig sit next to those structs
-// (faults/fault_plan.h, core/io_scheduler.h): their Validate uses them.
+// TransferRetryConfig, PlanConfig and BurstBufferConfig sit next to those
+// structs (faults/fault_plan.h, core/io_scheduler.h,
+// storage/burst_buffer.h), where their other users reach them.
 // Sections are visited in the order the hash mixes them (SimulationConfig's
 // own fields fall into three sections to keep that order, and so every
 // recorded hash). Cross-field rules stay in SimulationConfig::Validate.
@@ -115,27 +116,7 @@ void VisitFields(C& c, V& v) {
      "kill jobs at their requested walltime"});
 
   v.Section("burst_buffer.");
-  auto& bb = c.burst_buffer;
-  v(bb.capacity_gb,
-    {"capacity_gb", "burst_buffer.capacity_gb", kNonNegative, kSchedule,
-     "burst-buffer capacity in GB (0 = no buffer; a positive value enables "
-     "the tier with the --bb-drain rate)",
-     "bb-capacity"});
-  v(bb.drain_gbps, {"drain_gbps", "burst_buffer.drain_gbps", kNonNegative,
-                    kSchedule, "PFS bandwidth reserved for the drain (GB/s)"});
-  v(bb.absorb_gbps,
-    {"absorb_gbps", "burst_buffer.absorb_gbps", kNonNegative, kSchedule,
-     "absorb-tier bandwidth cap in GB/s (0 = job link rate)", "bb-absorb"});
-  v(bb.per_job_quota_gb,
-    {"per_job_quota_gb", "burst_buffer.per_job_quota_gb", kNonNegative,
-     kSchedule, "per-job burst-buffer staging quota in GB (0 = uncapped)",
-     "bb-quota"});
-  v(bb.congestion_watermark,
-    {"congestion_watermark", "burst_buffer.congestion_watermark", kFactor,
-     kExcluded,
-     "occupancy fraction reported as congestion; feeds obs spans and "
-     "bb_congested_cycles only",
-     "bb-watermark"});
+  storage::VisitFields(c.burst_buffer, v);
 
   v.Section("faults.plan_config.");
   faults::VisitFields(c.faults.plan_config, v);

@@ -107,12 +107,18 @@ template <util::MaybeConst<PlanConfig> C, class V>
 void VisitFields(C& c, V& v) {
   using util::kNonNegative, util::kPositive;
   constexpr auto kSchedule = util::HashClass::kSchedule;
-  v(c.window_seconds, {"window_seconds", "plan.window_seconds", kPositive,
-                       kSchedule, "plan lifetime and horizon (s)"});
-  v(c.slice_seconds, {"slice_seconds", "plan.slice_seconds", kPositive,
-                      kSchedule, "PERIODIC pattern slice (s)"});
-  v(c.churn_cycles, {"churn_cycles", "plan.churn_cycles", kNonNegative,
-                     kSchedule, "replan after N cycles; 0 = never"});
+  v(c.window_seconds,
+    {"window_seconds", "plan.window_seconds", kPositive, kSchedule,
+     "planning-window length in seconds: plan lifetime and horizon "
+     "(PERIODIC/PLAN_BF)",
+     "plan-window"});
+  v(c.slice_seconds,
+    {"slice_seconds", "plan.slice_seconds", kPositive, kSchedule,
+     "pattern slice length in seconds (PERIODIC)", "plan-slice"});
+  v(c.churn_cycles,
+    {"churn_cycles", "plan.churn_cycles", kNonNegative, kSchedule,
+     "replan after N scheduling cycles (planning policies; 0 = off)",
+     "plan-churn"});
 }
 
 /// Checkpoint-flush-aware scheduling (application checkpoint traffic). When

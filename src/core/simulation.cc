@@ -209,6 +209,15 @@ class Engine : private sim::EventHandler {
     RestoreFrom(ckpt::CheckpointFile::Load(path), path);
   }
 
+  /// SimulationConfigHash of this run, computed once: the resume lookup,
+  /// the restore check and every save share it.
+  std::uint64_t ConfigHash() {
+    if (!config_hash_.has_value()) {
+      config_hash_ = SimulationConfigHash(config_, jobs_);
+    }
+    return *config_hash_;
+  }
+
   SimulationResult Run() {
     for (const workload::Job& job : jobs_) {
       std::string err = job.Validate();
@@ -826,13 +835,6 @@ class Engine : private sim::EventHandler {
     return path;
   }
 
-  std::uint64_t ConfigHash() {
-    if (!config_hash_.has_value()) {
-      config_hash_ = SimulationConfigHash(config_, jobs_);
-    }
-    return *config_hash_;
-  }
-
   /// Id → workload entry, built on first use. Checkpointing requires
   /// unique job ids (the restore path keys everything by id).
   const workload::Job* FindJob(workload::JobId id) {
@@ -1408,8 +1410,8 @@ SimulationResult RunSimulation(const SimulationConfig& config,
   const ckpt::Options& opt = config.checkpoint;
   std::string resume_path = opt.resume_from;
   if (resume_path.empty() && opt.resume_latest && !opt.directory.empty()) {
-    resume_path = ckpt::FindLatestValid(
-        opt.directory, SimulationConfigHash(config, jobs), nullptr);
+    resume_path =
+        ckpt::FindLatestValid(opt.directory, engine.ConfigHash(), nullptr);
   }
   if (!resume_path.empty()) {
     engine.RestoreFromFile(resume_path);

@@ -312,9 +312,11 @@ struct SimulationResult {
 };
 
 /// FNV-1a fingerprint over every field the field table
-/// (core/config_fields.h) does not exclude, plus the workload fingerprint.
-/// Stamped into checkpoints; a resume whose recomputed hash differs is
-/// rejected with ckpt::ConfigMismatchError instead of silently diverging.
+/// (core/config_fields.h) does not exclude, mixed with
+/// workload::WorkloadFingerprint. Stamped into checkpoints; a resume whose
+/// recomputed hash differs is rejected with ckpt::ConfigMismatchError
+/// instead of silently diverging. A run computes it once (a resume_latest
+/// lookup, the restore check and every save share the value).
 std::uint64_t SimulationConfigHash(const SimulationConfig& config,
                                    const workload::Workload& jobs);
 

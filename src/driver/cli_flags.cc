@@ -73,6 +73,8 @@ void AddPredictionFlags(util::CliParser& cli) {
               "I/O behaviour prediction mode: off, learned, oracle, or null");
 }
 
+void AddPlanFlags(util::CliParser& cli) { AddFieldFlags(cli, "plan."); }
+
 void AddAppCheckpointFlags(util::CliParser& cli) {
   cli.AddFlag("app-ckpt-mtbf", "0",
               "application MTBF in seconds; a positive value enables "
@@ -163,6 +165,12 @@ void ApplyPredictionFlags(const util::CliParser& cli,
       pred.mode = mode;  // Validate() rejects unknown modes.
     }
   }
+}
+
+void ApplyPlanFlags(const util::CliParser& cli,
+                    core::SimulationConfig& config) {
+  FlagVisitor flags{{}, "plan.", nullptr, &cli};
+  core::VisitFields(config, flags);
 }
 
 void ApplyAppCheckpointFlags(const util::CliParser& cli, Scenario& scenario) {

@@ -30,6 +30,10 @@ void AddBurstBufferFlags(util::CliParser& cli);
 /// --predict-min-support, --predict-horizon (the last three from the table).
 void AddPredictionFlags(util::CliParser& cli);
 
+/// Declare the planning flags ApplyPlanFlags reads, all from the field
+/// table's [plan] rows: --plan-window, --plan-slice, --plan-churn.
+void AddPlanFlags(util::CliParser& cli);
+
 /// Declare the application-checkpoint flags ApplyAppCheckpointFlags reads:
 /// --app-ckpt-mtbf (0 = off), --app-ckpt-defer, --app-ckpt-min-interval,
 /// --app-ckpt-seed.
@@ -59,6 +63,12 @@ void ApplyBurstBufferFlags(const util::CliParser& cli,
 /// override their fields only when explicitly provided.
 void ApplyPredictionFlags(const util::CliParser& cli,
                           core::SimulationConfig& config);
+
+/// Overlay the planning flags onto `config`; each explicitly provided flag
+/// overrides its field. SimulationConfig::Validate applies the rows' range
+/// rules (a negative --plan-churn fails as plan.churn_cycles).
+void ApplyPlanFlags(const util::CliParser& cli,
+                    core::SimulationConfig& config);
 
 /// Overlay the app-checkpoint flags onto `scenario`. A positive
 /// --app-ckpt-mtbf enables the whole resilience stack in one step: the

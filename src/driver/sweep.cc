@@ -7,6 +7,8 @@
 #include <utility>
 
 #include "core/policy_factory.h"
+#include "storage/burst_buffer.h"
+#include "util/field_table.h"
 #include "util/units.h"
 
 namespace iosched::driver {
@@ -60,12 +62,17 @@ std::vector<core::ConfigIssue> SweepSpec::Validate() const {
       add("bb_drain_gbps",
           "must stay below the scenario's storage BWmax");
     }
-    if (bb_absorb_gbps < 0) add("bb_absorb_gbps", "must be >= 0");
-    if (bb_per_job_quota_gb < 0) {
-      add("bb_per_job_quota_gb", "must be >= 0");
-    }
-    if (bb_congestion_watermark <= 0 || bb_congestion_watermark > 1) {
-      add("bb_congestion_watermark", "must be in (0, 1]");
+    // The per-field rules are BurstBufferConfig's rows; under the "bb_"
+    // prefix a row's path is the name of this spec's copy of the field.
+    const storage::BurstBufferConfig knobs{
+        .absorb_gbps = bb_absorb_gbps,
+        .per_job_quota_gb = bb_per_job_quota_gb,
+        .congestion_watermark = bb_congestion_watermark};
+    util::IssueVisitor rows;
+    rows.Section("bb_");
+    storage::VisitFields(knobs, rows);
+    for (auto& [field, message] : rows.issues) {
+      issues.push_back({std::move(field), std::move(message)});
     }
   }
   return issues;

@@ -21,6 +21,7 @@
 
 #include "ckpt/serializer.h"
 #include "sim/time.h"
+#include "util/field_table.h"
 #include "workload/job.h"
 
 namespace iosched::storage {
@@ -43,6 +44,36 @@ struct BurstBufferConfig {
 
   bool enabled() const { return capacity_gb > 0 && drain_gbps > 0; }
 };
+
+/// BurstBufferConfig's rows of the SimulationConfig field table
+/// (util/field_table.h, core/config_fields.h). Each row's rule is
+/// per-field; the tier's cross-field rules (a capacity needs a drain, the
+/// drain stays below BWmax) live with the configs that hold the buffer.
+template <util::MaybeConst<BurstBufferConfig> C, class V>
+void VisitFields(C& c, V& v) {
+  using util::kFactor, util::kNonNegative;
+  using enum util::HashClass;
+  v(c.capacity_gb,
+    {"capacity_gb", "burst_buffer.capacity_gb", kNonNegative, kSchedule,
+     "burst-buffer capacity in GB (0 = no buffer; a positive value enables "
+     "the tier with the --bb-drain rate)",
+     "bb-capacity"});
+  v(c.drain_gbps, {"drain_gbps", "burst_buffer.drain_gbps", kNonNegative,
+                   kSchedule, "PFS bandwidth reserved for the drain (GB/s)"});
+  v(c.absorb_gbps,
+    {"absorb_gbps", "burst_buffer.absorb_gbps", kNonNegative, kSchedule,
+     "absorb-tier bandwidth cap in GB/s (0 = job link rate)", "bb-absorb"});
+  v(c.per_job_quota_gb,
+    {"per_job_quota_gb", "burst_buffer.per_job_quota_gb", kNonNegative,
+     kSchedule, "per-job burst-buffer staging quota in GB (0 = uncapped)",
+     "bb-quota"});
+  v(c.congestion_watermark,
+    {"congestion_watermark", "burst_buffer.congestion_watermark", kFactor,
+     kExcluded,
+     "occupancy fraction reported as congestion; feeds obs spans and "
+     "bb_congested_cycles only",
+     "bb-watermark"});
+}
 
 class BurstBuffer {
  public:

@@ -28,7 +28,7 @@ struct Phase {
   /// generator (see workload/app_checkpoint.h). Flush phases are I/O phases
   /// the scheduler may defer under congestion and that establish restart
   /// points under RESTART_FROM_APP_CHECKPOINT; plain I/O phases never set
-  /// this, so untouched workloads keep their fingerprints.
+  /// this. The workload fingerprint always mixes it.
   bool is_flush = false;
 
   static Phase Compute(double seconds) {

@@ -66,12 +66,14 @@ IoTrace ToIoTrace(const Workload& workload, double node_bandwidth_gbps);
 /// Validate every job; returns human-readable errors (empty when clean).
 std::vector<std::string> ValidateWorkload(const Workload& workload);
 
-/// Bit-exact FNV-1a fingerprint over every semantic field of every job
-/// (ids, times, phases, efficiencies — floats hashed by bit pattern, not
-/// text). Feeds the checkpoint config hash: a checkpoint resumed against a
-/// workload with any differing field must be rejected, because the restored
-/// engine holds raw pointers into the job vector and replays the remaining
-/// phases from it.
+/// Bit-exact fingerprint over every semantic field of every job, in workload
+/// order (ids, times, phases with their flush flags, efficiencies,
+/// provenance — floats hashed by bit pattern, not text). Each field is one
+/// 64-bit word (strings: their length, then 8-byte chunks), hashed in four
+/// independent multiply-rotate lanes that are folded at the end. Feeds the
+/// checkpoint config hash: a checkpoint resumed against a workload with any
+/// differing field must be rejected, because the restored engine holds raw
+/// pointers into the job vector and replays the remaining phases from it.
 std::uint64_t WorkloadFingerprint(const Workload& workload);
 
 }  // namespace iosched::workload

@@ -1,7 +1,9 @@
 // Pinned SimulationConfigHash values. Checkpoints and resumable sweep cells
 // are keyed by this hash, so a refactor of how the hash is computed must
-// reproduce these numbers exactly; a deliberate change to what the hash
-// covers re-pins them and says why.
+// reproduce these numbers exactly. Two deliberate changes re-pin them and
+// say why: a change to what the hash covers, and a change to the hash
+// algorithm that comes with a checkpoint format-version bump (so files
+// stamped with the old values fail as VersionError, not as a mismatch).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -26,21 +28,21 @@ driver::Scenario DefaultConfigOverWl1Day() {
 }
 
 TEST(ConfigHashPin, DefaultConfig) {
-  EXPECT_EQ(HashOf(DefaultConfigOverWl1Day()), 0x410f6dab59765562ULL);
+  EXPECT_EQ(HashOf(DefaultConfigOverWl1Day()), 0x6f209709c8a2caa0ULL);
 }
 
 TEST(ConfigHashPin, ShippedIniConfigs) {
   EXPECT_EQ(HashOf(driver::ScenarioFromConfigFile(std::string(
                 IOSCHED_CONFIG_DIR) + "/example.ini")),
-            0x065b39310fa4c01dULL);
+            0xcc33ddc2b35af434ULL);
   EXPECT_EQ(HashOf(driver::ScenarioFromConfigFile(std::string(
                 IOSCHED_CONFIG_DIR) + "/faults.ini")),
-            0x23c366b05ea695d1ULL);
+            0xe30d1b0dc60328dbULL);
 }
 
 TEST(ConfigHashPin, EvaluationMonths) {
-  const std::uint64_t pins[] = {0x0042d005c09af3a1ULL, 0x8f96871a37d72e88ULL,
-                                0xea0d915319d614adULL};
+  const std::uint64_t pins[] = {0x8294900bf6a20135ULL, 0x9f64827089a29c1fULL,
+                                0x080115316b83998eULL};
   for (int month = 1; month <= 3; ++month) {
     EXPECT_EQ(HashOf(driver::MakeEvaluationScenario(month)), pins[month - 1])
         << "WL" << month;
@@ -53,7 +55,7 @@ TEST(ConfigHashPin, PlanningPolicyWithNonDefaultPlan) {
   scenario.config.plan.window_seconds = 1200.0;
   scenario.config.plan.slice_seconds = 45.0;
   scenario.config.plan.churn_cycles = 5;
-  EXPECT_EQ(HashOf(scenario), 0xb6cc344182dfab0bULL);
+  EXPECT_EQ(HashOf(scenario), 0x07b20cbaa9570855ULL);
 }
 
 TEST(ConfigHashPin, ExplicitFaultPlan) {
@@ -71,14 +73,14 @@ TEST(ConfigHashPin, ExplicitFaultPlan) {
   plan.job_mtbf_seconds = 7200.0;
   plan.mtbf_seed = 11;
   scenario.config.faults.restart_mode = faults::RestartMode::kRestartFromZero;
-  EXPECT_EQ(HashOf(scenario), 0x55e7f115702eb46cULL);
+  EXPECT_EQ(HashOf(scenario), 0xf1eb80ed8f82e9b6ULL);
 }
 
 TEST(ConfigHashPin, ObsEnabled) {
   driver::Scenario scenario = DefaultConfigOverWl1Day();
   scenario.config.obs.enabled = true;
   scenario.config.obs.sample_dt_seconds = 300.0;
-  EXPECT_EQ(HashOf(scenario), 0x89e315a535151d5dULL);
+  EXPECT_EQ(HashOf(scenario), 0xc8bf5123f1a87c8bULL);
 }
 
 }  // namespace

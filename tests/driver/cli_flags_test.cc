@@ -111,6 +111,36 @@ TEST(CliFlags, PredictionFlagsDefaultToTheStructDefaults) {
   EXPECT_EQ(cli.GetString("predict-horizon"), "300");
 }
 
+TEST(CliFlags, PlanFlagsOverrideTheirFieldsAndKeepTheirDefaults) {
+  util::CliParser cli("test");
+  AddPlanFlags(cli);
+  const std::vector<const char*> args = {"--plan-window", "900",
+                                         "--plan-churn", "3"};
+  ASSERT_TRUE(cli.Parse(static_cast<int>(args.size()), args.data()))
+      << cli.error();
+  core::SimulationConfig config;
+  ApplyPlanFlags(cli, config);
+  EXPECT_DOUBLE_EQ(config.plan.window_seconds, 900.0);
+  EXPECT_DOUBLE_EQ(config.plan.slice_seconds, 30.0);
+  EXPECT_EQ(config.plan.churn_cycles, 3u);
+  EXPECT_EQ(cli.GetString("plan-window"), "900");
+  EXPECT_EQ(cli.GetString("plan-slice"), "30");
+}
+
+TEST(CliFlags, NegativePlanChurnFailsValidation) {
+  util::CliParser cli("test");
+  AddPlanFlags(cli);
+  const std::vector<const char*> args = {"--plan-churn", "-1"};
+  ASSERT_TRUE(cli.Parse(static_cast<int>(args.size()), args.data()))
+      << cli.error();
+  core::SimulationConfig config;
+  ApplyPlanFlags(cli, config);
+  std::vector<core::ConfigIssue> issues = config.Validate();
+  ASSERT_EQ(issues.size(), 1u);
+  EXPECT_EQ(issues[0].field, "plan.churn_cycles");
+  EXPECT_EQ(issues[0].message, "must be >= 0");
+}
+
 TEST(CliFlags, HelpListsTheSharedFlagsOnce) {
   util::CliParser cli("test");
   AddScenarioFlags(cli);

@@ -68,6 +68,29 @@ TEST(SweepSpec, ValidateChecksPolicyNamesAndBbKnobs) {
             fields.end());
 }
 
+TEST(SweepSpec, ValidateNamesTheSpecFieldOfEachBrokenBbRow) {
+  Scenario scenario = SmallScenario();
+  SweepSpec spec;
+  spec.scenario = &scenario;
+  spec.policies = {"ADAPTIVE"};
+  spec.bb_capacities_gb = {500.0};
+  spec.bb_drain_gbps = 5.0;
+  spec.bb_absorb_gbps = -1.0;
+  spec.bb_per_job_quota_gb = -2.0;
+  spec.bb_congestion_watermark = 0.0;
+  std::vector<core::ConfigIssue> issues = spec.Validate();
+  ASSERT_EQ(issues.size(), 3u);
+  EXPECT_EQ(issues[0].field, "bb_absorb_gbps");
+  EXPECT_EQ(issues[0].message, "must be >= 0");
+  EXPECT_EQ(issues[1].field, "bb_per_job_quota_gb");
+  EXPECT_EQ(issues[2].field, "bb_congestion_watermark");
+  EXPECT_EQ(issues[2].message, "must be in (0, 1]");
+
+  // With every capacity off the knobs are unused and not checked.
+  spec.bb_capacities_gb = {0.0};
+  EXPECT_TRUE(spec.Validate().empty());
+}
+
 TEST(RunSweep, InvalidSpecThrowsTypedError) {
   SweepSpec spec;
   try {

@@ -93,17 +93,7 @@ int CmdSimulate(const util::CliParser& cli) {
   if (cli.Provided("walltime-kill")) {
     config.enforce_walltime = cli.GetBool("walltime-kill");
   }
-  if (cli.Provided("plan-window")) {
-    config.plan.window_seconds = cli.GetDouble("plan-window");
-  }
-  if (cli.Provided("plan-slice")) {
-    config.plan.slice_seconds = cli.GetDouble("plan-slice");
-  }
-  if (cli.Provided("plan-churn")) {
-    long long churn = cli.GetInt("plan-churn");
-    if (churn < 0) return Fail("--plan-churn must be >= 0");
-    config.plan.churn_cycles = static_cast<std::uint64_t>(churn);
-  }
+  driver::ApplyPlanFlags(cli, config);
   driver::ApplyBurstBufferFlags(cli, config);
   driver::ApplyPredictionFlags(cli, config);
 
@@ -453,18 +443,13 @@ int main(int argc, char** argv) {
   driver::AddScenarioFlags(cli);
   driver::AddBurstBufferFlags(cli);
   driver::AddPredictionFlags(cli);
+  driver::AddPlanFlags(cli);
   driver::AddAppCheckpointFlags(cli);
   cli.AddFlag("seed", "101", "generator seed (generate)");
   cli.AddFlag("out", "workload", "output path stem (generate)");
   cli.AddFlag("policy", "ADAPTIVE",
               "I/O policy (simulate): " + core::PolicyNamesHelp());
   cli.AddFlag("policies", "", "comma list of policies (sweep/sensitivity)");
-  cli.AddFlag("plan-window", "600",
-              "planning-window length in seconds (PERIODIC/PLAN_BF)");
-  cli.AddFlag("plan-slice", "30",
-              "pattern slice length in seconds (PERIODIC)");
-  cli.AddFlag("plan-churn", "0",
-              "replan after N scheduling cycles (planning policies; 0 = off)");
   cli.AddFlag("factors", "0.3,0.5,0.7,0.9,1.2,1.5",
               "expansion factors (sensitivity)");
   cli.AddFlag("bb-capacities", "0,1000,2000,4000,8000",
