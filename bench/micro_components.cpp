@@ -131,16 +131,8 @@ std::vector<core::IoJobView> MakeActiveSet(std::size_t count) {
 void BM_PolicyAssign(benchmark::State& state, const char* policy_name) {
   auto policy = core::MakePolicy(policy_name);
   auto active = MakeActiveSet(static_cast<std::size_t>(state.range(0)));
-  core::CycleInputs inputs;
-  core::PlanContext ctx;
-  ctx.active = active;
-  ctx.inputs = &inputs;
-  ctx.max_bandwidth_gbps = 250.0;
-  ctx.now = 200.0;
-  policy->Plan(ctx);
-  core::PlanCursor cursor{1, 200.0, 0};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(policy->Execute(ctx, cursor));
+    benchmark::DoNotOptimize(policy->Assign(active, 250.0, 200.0));
   }
 }
 BENCHMARK_CAPTURE(BM_PolicyAssign, baseline, "BASE_LINE")->Arg(8)->Arg(64);
@@ -393,20 +385,11 @@ std::vector<ComponentResult> RunComponentTimers() {
   for (const char* policy_name : {"BASE_LINE", "MAX_UTIL", "ADAPTIVE"}) {
     auto policy = core::MakePolicy(policy_name);
     auto active = MakeActiveSet(64);
-    core::CycleInputs inputs;
-    core::PlanContext ctx;
-    ctx.active = active;
-    ctx.inputs = &inputs;
-    ctx.max_bandwidth_gbps = 250.0;
-    ctx.now = 200.0;
-    policy->Plan(ctx);
     const std::size_t calls = 2048;
     out.push_back(TimeComponent(
         std::string("policy_assign_") + policy_name, calls, 3, [&] {
-          core::PlanCursor cursor{1, 200.0, 0};
           for (std::size_t c = 0; c < calls; ++c) {
-            policy->Execute(ctx, cursor);
-            ++cursor.cycles_in_plan;
+            policy->Assign(active, 250.0, 200.0);
           }
         }));
   }

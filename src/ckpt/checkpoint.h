@@ -60,7 +60,7 @@ class ConfigMismatchError : public CheckpointError {
 };
 
 inline constexpr std::string_view kMagic = "IOSCKPT1";
-inline constexpr std::uint32_t kFormatVersion = 5;
+inline constexpr std::uint32_t kFormatVersion = 6;
 
 /// In-memory checkpoint: named binary sections plus the config hash.
 /// Built section-by-section on save; fully decoded and CRC-verified on

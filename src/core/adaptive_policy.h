@@ -25,24 +25,14 @@ class Counter;
 
 namespace iosched::core {
 
-class AdaptivePolicy final : public GreedyAdapter {
+/// Tier / flush-backlog awareness read the per-cycle CycleInputs
+/// (IoPolicy::inputs()): while the burst-buffer drain backlog is deep (above
+/// kBacklogDeferralFraction of capacity) or the parked-flush backlog holds
+/// kFlushBacklogDeferralSeconds of full-bandwidth work, the over-admission
+/// branch is suspended and the policy degrades to Cons-FCFS — see DESIGN.md
+/// §9. Both are no-ops when the respective feature is off.
+class AdaptivePolicy final : public IoPolicy {
  public:
-  /// With `predictive` set the policy runs as PREDICTIVE_ADAPTIVE: identical
-  /// to ADAPTIVE except that the over-admission branch is also suspended
-  /// while the prediction snapshot forecasts an imminent burst storm —
-  /// aggregate imminent demand of at least kStormDeferralFraction of BWmax
-  /// within the horizon. FCFS admissions are untouched; with prediction
-  /// off or never signalling, behavior is grant-for-grant ADAPTIVE.
-  ///
-  /// Tier / prediction / flush-backlog awareness all read the per-cycle
-  /// CycleInputs (GreedyAdapter::inputs()): while the burst-buffer drain
-  /// backlog is deep (above kBacklogDeferralFraction of capacity) or the
-  /// parked-flush backlog holds kFlushBacklogDeferralSeconds of
-  /// full-bandwidth work, the over-admission branch is suspended and the
-  /// policy degrades to Cons-FCFS — see DESIGN.md §9. All no-ops when the
-  /// respective feature is off.
-  explicit AdaptivePolicy(bool predictive = false) : predictive_(predictive) {}
-
   const std::string& name() const override;
   std::vector<RateGrant> Assign(std::span<const IoJobView> active,
                                 double max_bandwidth_gbps,
@@ -58,16 +48,11 @@ class AdaptivePolicy final : public GreedyAdapter {
   /// Backlog fraction of BB capacity above which over-admission pauses.
   static constexpr double kBacklogDeferralFraction = 0.5;
 
-  /// Imminent predicted demand, as a fraction of BWmax, above which
-  /// PREDICTIVE_ADAPTIVE defers discretionary (over-)admissions.
-  static constexpr double kStormDeferralFraction = 0.5;
-
   /// Parked-flush backlog, in seconds of full-bandwidth work, above which
   /// over-admission pauses.
   static constexpr double kFlushBacklogDeferralSeconds = 30.0;
 
  private:
-  bool predictive_ = false;
   /// Accumulates water-filling steps across cycles; null when obs is off.
   obs::Counter* waterfill_counter_ = nullptr;
 };

@@ -18,7 +18,7 @@
 
 namespace iosched::core {
 
-class BaselinePolicy final : public GreedyAdapter {
+class BaselinePolicy final : public IoPolicy {
  public:
   const std::string& name() const override;
   std::vector<RateGrant> Assign(std::span<const IoJobView> active,
@@ -27,7 +27,7 @@ class BaselinePolicy final : public GreedyAdapter {
 };
 
 /// Ablation: work-conserving even split (max-min fairness per application).
-class MaxMinPolicy final : public GreedyAdapter {
+class MaxMinPolicy final : public IoPolicy {
  public:
   const std::string& name() const override;
   std::vector<RateGrant> Assign(std::span<const IoJobView> active,

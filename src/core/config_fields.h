@@ -1,7 +1,8 @@
 // The SimulationConfig field table (util/field_table.h): one row per field
-// of SimulationConfig and its sub-structs. The rows of FaultPlanConfig,
-// TransferRetryConfig, PlanConfig and BurstBufferConfig sit next to those
-// structs (faults/fault_plan.h, core/io_scheduler.h,
+// of SimulationConfig and its sub-structs. The rows of MachineConfig,
+// BatchScheduler::Options, FaultPlanConfig, TransferRetryConfig and
+// BurstBufferConfig sit next to those structs (machine/machine.h,
+// sched/batch_scheduler.h, faults/fault_plan.h, core/io_scheduler.h,
 // storage/burst_buffer.h), where their other users reach them.
 // Sections are visited in the order the hash mixes them (SimulationConfig's
 // own fields fall into three sections to keep that order, and so every
@@ -18,20 +19,12 @@ namespace iosched::core {
 
 template <util::MaybeConst<SimulationConfig> C, class V>
 void VisitFields(C& c, V& v) {
-  using util::kAny, util::kFactor, util::kFraction, util::kNonNegative,
+  using util::kAny, util::kFraction, util::kNonNegative,
       util::kPositive;
   using enum util::HashClass;
 
   v.Section("machine.");
-  v(c.machine.nodes_per_midplane, {"nodes_per_midplane", nullptr, kPositive,
-                                   kSchedule, "set by [machine] preset"});
-  v(c.machine.midplanes_per_row, {"midplanes_per_row", nullptr, kPositive,
-                                  kSchedule, "set by [machine] preset"});
-  v(c.machine.rows,
-    {"rows", nullptr, kPositive, kSchedule, "set by [machine] preset"});
-  v(c.machine.node_bandwidth_gbps,
-    {"node_bandwidth_gbps", "machine.node_bandwidth_gbps", kPositive,
-     kSchedule, "per-node injection bandwidth b (GB/s)"});
+  machine::VisitFields(c.machine, v);
 
   v.Section("storage.");
   v(c.storage.max_bandwidth_gbps,
@@ -41,27 +34,7 @@ void VisitFields(C& c, V& v) {
                                  "throw on grants above BWmax"});
 
   v.Section("batch.");
-  auto& batch = c.batch;
-  v(batch.order, {"order", "batch.order", kAny, kSchedule, "wfp or fcfs"});
-  v(batch.easy_backfill, {"easy_backfill", "batch.easy_backfill", kAny,
-                          kSchedule, "EASY backfilling"});
-  v(batch.max_retries, {"max_retries", "faults.max_retries", kNonNegative,
-                        kSchedule, "requeues before a job is abandoned"});
-  v(batch.requeue_backoff_seconds,
-    {"requeue_backoff_seconds", "faults.backoff_seconds", kNonNegative,
-     kSchedule, "base requeue delay (s), doubled per retry"});
-  v(batch.max_backoff_seconds,
-    {"max_backoff_seconds", "faults.max_backoff_seconds", kNonNegative,
-     kSchedule, "requeue delay cap (s)"});
-  v(batch.backoff_jitter_fraction,
-    {"backoff_jitter_fraction", "faults.backoff_jitter_fraction", kFraction,
-     kSchedule, "seeded +/- scatter on requeue delays"});
-  v(batch.backoff_jitter_seed,
-    {"backoff_jitter_seed", "faults.backoff_jitter_seed", kAny, kSchedule,
-     "seed of the requeue scatter"});
-  v(batch.incremental_order,
-    {"incremental_order", nullptr, kAny, kExcluded,
-     "both queue-order paths give bit-identical schedules"});
+  sched::VisitFields(c.batch, v);
 
   v.Section("transfer_retry.");
   VisitFields(c.transfer_retry, v);
@@ -74,28 +47,6 @@ void VisitFields(C& c, V& v) {
     {"max_defer_seconds", "app_checkpoint.max_defer_seconds", kNonNegative,
      kSchedule, "longest a ready flush may be parked (s)"});
 
-  v.Section("prediction.");
-  auto& pred = c.prediction;
-  v(pred.enabled, {"enabled", "prediction.enabled", kAny, kLayout,
-                   "build predictions; checkpoints hold the model"});
-  v(pred.mode,
-    {"mode", "prediction.mode", kAny, kSchedule, "learned, oracle, or null"},
-    {.rule = [&m = pred.mode]() -> std::string {
-      if (m == "learned" || m == "oracle" || m == "null") return "";
-      return "unknown mode \"" + m + "\" (known: learned, oracle, null)";
-    }});
-  v(pred.alpha, {"alpha", "prediction.alpha", kFactor, kSchedule,
-                 "EWMA smoothing factor for the learned predictor",
-                 "predict-alpha"});
-  v(pred.min_support,
-    {"min_support", "prediction.min_support", kNonNegative, kSchedule,
-     "observations before a user/project level is fully trusted",
-     "predict-min-support"});
-  v(pred.horizon_seconds,
-    {"horizon_seconds", "prediction.horizon_seconds", kPositive, kSchedule,
-     "lookahead window in seconds for imminent-burst aggregation",
-     "predict-horizon"});
-
   v.Section("");
   v(c.policy, {"policy", "policy.name", kAny, kSchedule, "I/O policy name"},
     {.rule = [&c]() -> std::string {
@@ -103,10 +54,6 @@ void VisitFields(C& c, V& v) {
       return "unknown policy \"" + c.policy + "\" (known: " +
              PolicyNamesHelp() + ")";
     }});
-
-  // Planning cadence shapes only planning policies; greedy hashes skip it.
-  v.Section("plan.", IsPlanningPolicyName(c.policy));
-  VisitFields(c.plan, v);
 
   v.Section("");
   v(c.track_bandwidth, {"track_bandwidth", nullptr, kAny, kLayout,

@@ -16,8 +16,6 @@ std::string NameFor(ConservativeOrder order) {
     case ConservativeOrder::kMaxUtil: return "MAX_UTIL";
     case ConservativeOrder::kMinInstSld: return "MIN_INST_SLD";
     case ConservativeOrder::kMinAggrSld: return "MIN_AGGR_SLD";
-    case ConservativeOrder::kShortestFirst: return "SJF";
-    case ConservativeOrder::kSmithRule: return "WSJF";
   }
   return "?";
 }
@@ -82,29 +80,6 @@ std::vector<std::size_t> ConservativePriorityOrder(
       // squeezed earlier catches up instead of compounding its delay.
       for (std::size_t i = 0; i < active.size(); ++i) {
         ranked[i].key = AggregateSlowdown(active[i], now);
-      }
-      sort_key_desc();
-      break;
-    case ConservativeOrder::kShortestFirst:
-      // Smallest remaining full-rate transfer time first.
-      for (std::size_t i = 0; i < active.size(); ++i) {
-        ranked[i].key = active[i].RemainingGb() /
-                        std::max(active[i].full_rate_gbps, 1e-12);
-      }
-      std::sort(ranked.begin(), ranked.end(),
-                [&](const Ranked& a, const Ranked& b) {
-                  if (a.key != b.key) return a.key < b.key;
-                  return fcfs_less(a, b);
-                });
-      break;
-    case ConservativeOrder::kSmithRule:
-      // Highest nodes-per-remaining-second first: Smith's rule with weight
-      // N_i, so the storage channel releases blocked node-seconds fastest.
-      for (std::size_t i = 0; i < active.size(); ++i) {
-        double remaining_seconds = active[i].RemainingGb() /
-                                   std::max(active[i].full_rate_gbps, 1e-12);
-        ranked[i].key = static_cast<double>(active[i].nodes) /
-                        std::max(remaining_seconds, 1e-9);
       }
       sort_key_desc();
       break;

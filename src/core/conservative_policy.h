@@ -28,15 +28,9 @@ enum class ConservativeOrder {
   kMaxUtil,     // Cons-MaxUtil (knapsack; order field unused for packing)
   kMinInstSld,  // Cons-MinInstSld
   kMinAggrSld,  // Cons-MinAggrSld
-
-  // Extensions beyond the paper (ablation subjects, see bench/):
-  kShortestFirst,  // SJF: smallest remaining transfer time first
-  kSmithRule,      // WSJF: highest N_i / remaining-time first — Smith's rule
-                   // for minimizing node-weighted completion, i.e. the rate
-                   // at which blocked partitions are released
 };
 
-class ConservativePolicy final : public GreedyAdapter {
+class ConservativePolicy final : public IoPolicy {
  public:
   explicit ConservativePolicy(ConservativeOrder order);
 

@@ -121,7 +121,6 @@ void InvariantChecker::CheckNow(sim::SimTime now) {
   CheckLifecycle();
   if (io_scheduler_ != nullptr) {
     CheckDeferredFlushes();
-    CheckPlanReservations();
   }
   ++checks_;
 }
@@ -310,22 +309,6 @@ void InvariantChecker::CheckDeferredFlushes() const {
     Fail(now, "incremental deferred-flush backlog " +
                   Num(io.deferred_flush_gb()) + " != recomputed " +
                   Num(sum_gb));
-  }
-}
-
-void InvariantChecker::CheckPlanReservations() const {
-  sim::SimTime now = last_check_time_;
-  std::span<const PlanReservation> table =
-      io_scheduler_->policy().Reservations();
-  if (table.empty()) return;
-  double bb_capacity = burst_buffer_ != nullptr
-                           ? burst_buffer_->config().capacity_gb
-                           : 0.0;
-  try {
-    ValidateReservations(table, now, storage_.config().max_bandwidth_gbps,
-                         bb_capacity);
-  } catch (const std::logic_error& e) {
-    Fail(now, std::string("plan reservation table invalid: ") + e.what());
   }
 }
 

@@ -93,10 +93,6 @@ class InvariantChecker : public SchedEventSink {
   void CheckBurstBuffer(sim::SimTime now);
   void CheckLifecycle() const;
   void CheckDeferredFlushes() const;
-  /// Audit a planning policy's standing reservation table (well-formed
-  /// intervals, active rates within BWmax, absorb promises within buffer
-  /// capacity). No-op for greedy policies (empty table).
-  void CheckPlanReservations() const;
 
   [[noreturn]] void Fail(sim::SimTime now, const std::string& what) const;
 

@@ -1,6 +1,5 @@
 #include "core/io_policy.h"
 
-#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -64,49 +63,9 @@ void ValidateGrants(std::span<const IoJobView> active,
   }
 }
 
-const CycleInputs& GreedyAdapter::NoInputs() {
+const CycleInputs& IoPolicy::NoInputs() {
   static const CycleInputs kEmpty;
   return kEmpty;
-}
-
-void ValidateReservations(std::span<const PlanReservation> reservations,
-                          sim::SimTime now, double max_bandwidth_gbps,
-                          double bb_capacity_gb) {
-  double active_rate = 0.0;
-  double promised_bb = 0.0;
-  for (std::size_t i = 0; i < reservations.size(); ++i) {
-    const PlanReservation& r = reservations[i];
-    auto fail = [&](const std::string& what) {
-      throw std::logic_error("ValidateReservations: entry " +
-                             std::to_string(i) + " (job " +
-                             std::to_string(r.job) + "): " + what);
-    };
-    if (!std::isfinite(r.start) || !std::isfinite(r.end)) {
-      fail("non-finite interval");
-    }
-    if (r.end < r.start) fail("end before start");
-    if (!std::isfinite(r.rate_gbps) || r.rate_gbps < 0) {
-      fail("invalid rate " + std::to_string(r.rate_gbps));
-    }
-    if (!std::isfinite(r.bb_gb) || r.bb_gb < 0) {
-      fail("invalid absorb promise " + std::to_string(r.bb_gb));
-    }
-    if (r.start <= now && now < r.end) active_rate += r.rate_gbps;
-    promised_bb += r.bb_gb;
-  }
-  if (active_rate > max_bandwidth_gbps + util::kVolumeEpsilon) {
-    throw std::logic_error(
-        "ValidateReservations: reservations active now sum to " +
-        std::to_string(active_rate) + " GB/s, above the channel's " +
-        std::to_string(max_bandwidth_gbps));
-  }
-  if (bb_capacity_gb > 0 &&
-      promised_bb > bb_capacity_gb + util::kVolumeEpsilon) {
-    throw std::logic_error(
-        "ValidateReservations: absorb promises sum to " +
-        std::to_string(promised_bb) + " GB, above the buffer's " +
-        std::to_string(bb_capacity_gb));
-  }
 }
 
 }  // namespace iosched::core

@@ -1,7 +1,6 @@
 #include "core/io_scheduler.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -28,7 +27,7 @@ IoScheduler::IoScheduler(sim::Simulator& simulator,
   }
   if (!policy_) throw std::invalid_argument("IoScheduler: null policy");
   if (!on_complete_) throw std::invalid_argument("IoScheduler: null callback");
-  policy_is_planning_ = policy_->WantsPlanning();
+  policy_->BindInputs(&cycle_inputs_);
   storage_.SetBandwidthChangeListener(
       [this](double new_bwmax, sim::SimTime now) {
         OnBandwidthChange(new_bwmax, now);
@@ -46,7 +45,6 @@ void IoScheduler::OnEvent(const sim::Event& event) {
   switch (static_cast<EventKind>(event.kind)) {
     case kCompletion: OnCompletionEvent(); break;
     case kDrain: drain_event_ = 0; Reschedule(event.time); break;
-    case kPlanReview: review_event_ = 0; Reschedule(event.time); break;
     case kAbsorbed: OnAbsorbedComplete(id, event.arg); break;
     case kFlushRelease: OnFlushDeadline(id); break;
     case kDeadline: OnTransferDeadline(id); break;
@@ -70,7 +68,7 @@ JobContext& MustFind(JobStore& jobs, workload::JobId id) {
 
 void IoScheduler::RegisterJob(const workload::Job& job,
                               sim::SimTime start_time) {
-  jobs_.Add(job.id, JobContext{&job, start_time, 0.0, 0.0, start_time});
+  jobs_.Add(job.id, JobContext{&job, start_time, 0.0, 0.0});
 }
 
 void IoScheduler::UnregisterJob(workload::JobId id) {
@@ -295,10 +293,6 @@ void IoScheduler::OnBandwidthChange(double new_bwmax_gbps, sim::SimTime now) {
                            new_bwmax_gbps);
     hub_->forced_reschedules->Inc();
   }
-  // A standing plan was budgeted against the old resource envelope; its
-  // promises may exceed the degraded BWmax (which the reservation audit
-  // would rightly flag). Replan inside this very cycle.
-  if (policy_is_planning_) has_plan_ = false;
   Reschedule(now);
 }
 
@@ -411,18 +405,12 @@ void IoScheduler::Reschedule(sim::SimTime now) {
       drain_event_ = simulator_.ScheduleAt(wake, kEventOwner, kDrain);
     }
   }
-  RefreshCycleInputs(now);
+  RefreshCycleInputs();
 
   FillViews(views_scratch_);
   const std::vector<IoJobView>& views = views_scratch_;
-  PlanContext ctx;
-  ctx.active = views;
-  ctx.inputs = &cycle_inputs_;
-  ctx.max_bandwidth_gbps = usable_bandwidth;
-  ctx.now = now;
-  ctx.window_seconds = plan_config_.window_seconds;
-  ctx.slice_seconds = plan_config_.slice_seconds;
-  std::vector<RateGrant> grants = PlanAndExecute(ctx);
+  std::vector<RateGrant> grants =
+      policy_->Assign(views, usable_bandwidth, now);
   ValidateGrants(views, grants);
   // Views were built in arrival order, so grant i addresses the slot at
   // arrival_order[i] whenever the policy preserved positions (they all do);
@@ -509,12 +497,6 @@ void IoScheduler::Reschedule(sim::SimTime now) {
                                            kCompletion);
   }
 
-  // Planning policies may want a cycle at the next plan boundary (slice
-  // edge, reservation edge, window expiry) even if no request arrives or
-  // completes there. Greedy policies never take this branch, so their
-  // event-id sequences — and replay digests — are untouched.
-  if (policy_is_planning_) ArmPlanReview(ctx);
-
   // Benched checkpoint flushes get a fresh release query every cycle: the
   // congestion that parked them may just have cleared.
   if (flush_config_.enabled && !deferred_flushes_.empty()) {
@@ -522,7 +504,7 @@ void IoScheduler::Reschedule(sim::SimTime now) {
   }
 }
 
-void IoScheduler::RefreshCycleInputs(sim::SimTime now) {
+void IoScheduler::RefreshCycleInputs() {
   if (burst_buffer_ != nullptr) {
     // Tier snapshot for tier-aware policies (the buffer was already settled
     // to `now` by the caller).
@@ -534,66 +516,10 @@ void IoScheduler::RefreshCycleInputs(sim::SimTime now) {
     tiers.bb_faulted = burst_buffer_->faulted();
     tiers.drain_factor = burst_buffer_->drain_factor();
   }
-  if (prediction_config_.enabled) {
-    BuildPredictionState(now);
-  }
   if (flush_config_.enabled) {
     cycle_inputs_.flush_backlog_gb = deferred_backlog_gb_;
     cycle_inputs_.flush_backlog_count = deferred_flushes_.size();
   }
-}
-
-std::vector<RateGrant> IoScheduler::PlanAndExecute(const PlanContext& ctx) {
-  bool replan = !has_plan_;
-  if (policy_is_planning_ && has_plan_) {
-    replan = ctx.now >= plan_valid_until_ ||
-             (plan_config_.churn_cycles > 0 &&
-              cycles_in_plan_ >= plan_config_.churn_cycles) ||
-             policy_->PlanInvalidated(ctx);
-  }
-  if (replan) {
-    auto wall_start = std::chrono::steady_clock::now();
-    IoPlan plan = policy_->Plan(ctx);
-    plan_wall_seconds_ += std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - wall_start)
-                              .count();
-    has_plan_ = true;
-    plan_computed_at_ = ctx.now;
-    plan_valid_until_ = plan.valid_until;
-    if (policy_is_planning_ && plan_config_.window_seconds > 0) {
-      plan_valid_until_ = std::min(
-          plan_valid_until_, ctx.now + plan_config_.window_seconds);
-    }
-    ++replans_;
-    cycles_in_plan_ = 0;
-  }
-  PlanCursor cursor{replans_, plan_computed_at_, cycles_in_plan_};
-  ++cycles_in_plan_;
-  return policy_->Execute(ctx, cursor);
-}
-
-void IoScheduler::ArmPlanReview(const PlanContext& ctx) {
-  simulator_.Cancel(std::exchange(review_event_, 0));
-  // The policy folds its own plan expiry into NextPlanEvent while it has
-  // standing traffic and returns infinity when idle — an unconditional
-  // expiry wakeup would keep the event queue non-empty forever and the
-  // simulation would never drain.
-  sim::SimTime next = policy_->NextPlanEvent(ctx);
-  if (!std::isfinite(next)) return;
-  sim::SimTime wake = std::max(next, ctx.now + 1e-4);
-  review_event_ = simulator_.ScheduleAt(wake, kEventOwner, kPlanReview);
-}
-
-std::string PlanConfig::Validate() const {
-  return util::FirstIssue(*this);
-}
-
-void IoScheduler::ConfigurePlanning(const PlanConfig& config) {
-  std::string err = config.Validate();
-  if (!err.empty()) {
-    throw std::invalid_argument("IoScheduler::ConfigurePlanning: " + err);
-  }
-  plan_config_ = config;
 }
 
 void IoScheduler::OnAbsorbedComplete(workload::JobId id, double duration) {
@@ -608,7 +534,6 @@ void IoScheduler::OnAbsorbedComplete(workload::JobId id, double duration) {
   }
   JobContext& ctx = MustFind(jobs_, id);
   ctx.completed_io_seconds += duration;
-  ctx.last_io_end_time = simulator_.Now();
   on_complete_(id, simulator_.Now(), info);
 }
 
@@ -623,83 +548,6 @@ void IoScheduler::SetRetryConfig(const TransferRetryConfig& config) {
   }
   retry_config_ = config;
   jitter_rng_ = util::Rng(config.jitter_seed, /*stream=*/31);
-}
-
-void IoScheduler::ConfigurePrediction(const PredictionConfig& config) {
-  prediction_config_ = config;
-  predictor_.reset();
-  if (config.enabled && config.mode == "learned") {
-    IoBehaviorPredictor::Options opts;
-    opts.alpha = config.alpha;
-    opts.min_support = config.min_support;
-    opts.node_bandwidth_gbps = node_bandwidth_gbps_;
-    predictor_ = std::make_unique<IoBehaviorPredictor>(opts);
-  }
-}
-
-void IoScheduler::ObserveCompletion(workload::JobId id) {
-  if (predictor_ == nullptr) return;
-  const JobContext* ctx = jobs_.Find(id);
-  if (ctx == nullptr || ctx->job == nullptr) return;
-  predictor_->Observe(*ctx->job);
-}
-
-IoPrediction IoScheduler::PredictFor(const workload::Job& job) const {
-  if (prediction_config_.mode == "oracle") {
-    IoPrediction p;
-    p.io_fraction = job.IoFraction(node_bandwidth_gbps_);
-    p.io_phases = static_cast<double>(job.IoPhaseCount());
-    p.io_efficiency = job.io_efficiency;
-    p.support = 1;
-    return p;
-  }
-  if (predictor_ != nullptr) return predictor_->Predict(job);
-  return IoPrediction{};  // null mode: never a signal
-}
-
-void IoScheduler::BuildPredictionState(sim::SimTime now) {
-  PredictionState& ps = cycle_inputs_.prediction;
-  ps.enabled = true;
-  ps.horizon_seconds = prediction_config_.horizon_seconds;
-  ps.upcoming.clear();
-  ps.imminent_rate_gbps = 0.0;
-  ps.imminent_volume_gb = 0.0;
-  jobs_.SortedIds(ids_scratch_);
-  for (workload::JobId id : ids_scratch_) {
-    // Only jobs currently computing have a next burst to forecast: a job
-    // with an in-flight, absorbed, or backoff-pending request is already in
-    // I/O — it is the policy's Assign input, not a prediction.
-    if (storage_.Has(id) || absorbed_events_.count(id) != 0 ||
-        pending_retries_.count(id) != 0) {
-      continue;
-    }
-    const JobContext& ctx = *jobs_.Find(id);
-    const workload::Job& job = *ctx.job;
-    IoPrediction pred = PredictFor(job);
-    // support == 0 means "no signal", never "I/O-free": an unseen-project
-    // job must be scheduled exactly as the non-predictive path would.
-    if (pred.support == 0 || pred.io_fraction <= 0.0) continue;
-    double efficiency = std::clamp(pred.io_efficiency, 0.0, 1.0);
-    double rate = node_bandwidth_gbps_ * job.nodes * efficiency;
-    if (rate <= 0.0) continue;
-    // Model the predicted behaviour as `phases` evenly spaced bursts over
-    // the requested walltime: each burst moves an equal share of the
-    // predicted I/O time at `rate`, separated by equal compute gaps. The
-    // ETA counts down from the end of the job's last burst (its start for
-    // the first one).
-    double phases = std::max(pred.io_phases, 1.0);
-    double walltime = std::max(job.requested_walltime, 1.0);
-    double fraction = std::min(pred.io_fraction, 1.0);
-    double volume = fraction * walltime * rate / phases;
-    double gap = (1.0 - fraction) * walltime / phases;
-    double elapsed = now - std::max(ctx.start_time, ctx.last_io_end_time);
-    double eta = std::max(0.0, gap - std::max(elapsed, 0.0));
-    ps.upcoming.push_back(PredictedBurst{id, eta, rate, volume, pred.support});
-    if (eta <= ps.horizon_seconds) {
-      ps.imminent_rate_gbps += rate;
-      ps.imminent_volume_gb += volume;
-    }
-  }
 }
 
 double IoScheduler::BackoffDelay(int retries) {
@@ -796,7 +644,7 @@ void IoScheduler::OnDrainFactorChange(double factor, sim::SimTime now) {
         "IoScheduler::OnDrainFactorChange without an attached buffer");
   }
   // Settle the backlog at the old rate before the factor applies, then
-  // re-plan: the drain wakeup and the usable bandwidth both move.
+  // run a cycle: the drain wakeup and the usable bandwidth both move.
   burst_buffer_->AdvanceTo(now);
   burst_buffer_->SetDrainFactor(factor);
   Reschedule(now);
@@ -868,8 +716,7 @@ void IoScheduler::SaveState(ckpt::Writer& w) const {
   w.U64(reflushed_requests_);
   // The cycle-input snapshot outlives its cycle: policies read it between
   // cycles (ADAPTIVE's DeferFlush runs from SubmitRequest), so a resume
-  // must see the same tiers and flush backlog. The prediction snapshot is
-  // only read inside cycles, which rebuild it first.
+  // must see the same tiers and flush backlog.
   const TierState& tiers = cycle_inputs_.tiers;
   w.Bool(tiers.bb_enabled);
   w.F64(tiers.bb_capacity_gb);
@@ -879,20 +726,6 @@ void IoScheduler::SaveState(ckpt::Writer& w) const {
   w.F64(tiers.drain_factor);
   w.F64(cycle_inputs_.flush_backlog_gb);
   w.U64(cycle_inputs_.flush_backlog_count);
-  // Prediction state (appended so the layout above is unchanged, and only
-  // when prediction is on, so prediction-off checkpoints stay byte-stable):
-  // the per-job burst-ETA anchors plus, in learned mode, the predictor's
-  // EWMA tables.
-  w.Bool(prediction_config_.enabled);
-  if (prediction_config_.enabled) {
-    ids.clear();
-    jobs_.SortedIds(ids);
-    for (workload::JobId id : ids) {
-      w.F64(jobs_.Find(id)->last_io_end_time);
-    }
-    w.Bool(predictor_ != nullptr);
-    if (predictor_ != nullptr) predictor_->SaveState(w);
-  }
   // Deferred-flush state (appended, gated on the feature so checkpoint
   // streams from flush-unaware runs stay byte-stable).
   w.Bool(flush_config_.enabled);
@@ -907,21 +740,6 @@ void IoScheduler::SaveState(ckpt::Writer& w) const {
     }
     w.U64(flush_deferrals_);
     w.U64(forced_flush_releases_);
-  }
-  // Two-phase plan state (appended, gated on the policy actually planning,
-  // so checkpoint streams from greedy-policy runs only gain the gate byte).
-  // A planning policy's standing plan — cadence bookkeeping, the review
-  // event, and the policy's own cross-cycle state — must survive a resume
-  // bit-exactly or the resumed run diverges from the uninterrupted one.
-  w.Bool(policy_is_planning_);
-  if (policy_is_planning_) {
-    w.Bool(has_plan_);
-    w.F64(plan_computed_at_);
-    w.F64(plan_valid_until_);
-    w.U64(replans_);
-    w.U64(cycles_in_plan_);
-    w.U64(review_event_);
-    policy_->SaveState(w);
   }
 }
 
@@ -948,8 +766,6 @@ void IoScheduler::RestoreState(
     ctx.start_time = r.F64();
     ctx.completed_compute_seconds = r.F64();
     ctx.completed_io_seconds = r.F64();
-    // Overwritten from the appended prediction section when present.
-    ctx.last_io_end_time = ctx.start_time;
     jobs_.Add(id, ctx);
   }
   // Every saved event id must name an event the simulator restored.
@@ -1010,22 +826,6 @@ void IoScheduler::RestoreState(
   tiers.drain_factor = r.F64();
   cycle_inputs_.flush_backlog_gb = r.F64();
   cycle_inputs_.flush_backlog_count = static_cast<std::size_t>(r.U64());
-  policy_->BindInputs(&cycle_inputs_);
-  if (r.Bool()) {
-    std::vector<workload::JobId> sorted;
-    jobs_.SortedIds(sorted);
-    for (workload::JobId id : sorted) {
-      jobs_.Find(id)->last_io_end_time = r.F64();
-    }
-    if (r.Bool()) {
-      if (predictor_ == nullptr) {
-        throw std::runtime_error(
-            "IoScheduler::RestoreState: checkpoint carries learned-predictor "
-            "state but prediction is not configured in learned mode");
-      }
-      predictor_->RestoreState(r);
-    }
-  }
   if (r.Bool()) {
     std::uint32_t deferred = r.U32();
     for (std::uint32_t i = 0; i < deferred; ++i) {
@@ -1040,20 +840,6 @@ void IoScheduler::RestoreState(
     }
     flush_deferrals_ = r.U64();
     forced_flush_releases_ = r.U64();
-  }
-  if (r.Bool()) {
-    if (!policy_is_planning_) {
-      throw std::runtime_error(
-          "IoScheduler::RestoreState: checkpoint carries plan state but the "
-          "configured policy is not a planning policy");
-    }
-    has_plan_ = r.Bool();
-    plan_computed_at_ = r.F64();
-    plan_valid_until_ = r.F64();
-    replans_ = r.U64();
-    cycles_in_plan_ = r.U64();
-    review_event_ = pending(r.U64());
-    policy_->RestoreState(r);
   }
   // User slots are runtime-only (not serialized); relink every restored
   // transfer to its owner's JobStore slot. The engine restores the storage
@@ -1116,7 +902,6 @@ void IoScheduler::OnCompletionEvent() {
     storage::Transfer t = storage_.End(id);
     JobContext& ctx = MustFind(jobs_, id);
     ctx.completed_io_seconds += t.volume_gb / t.full_rate_gbps;
-    ctx.last_io_end_time = now;
     auto deadline = deadline_events_.find(id);
     if (deadline != deadline_events_.end()) {
       simulator_.Cancel(deadline->second.event);

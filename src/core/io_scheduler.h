@@ -21,7 +21,6 @@
 #include "ckpt/serializer.h"
 #include "core/io_policy.h"
 #include "core/job_store.h"
-#include "core/predictor.h"
 #include "metrics/bandwidth.h"
 #include "sim/simulator.h"
 #include "storage/backend.h"
@@ -83,42 +82,6 @@ void VisitFields(C& c, V& v) {
      kFraction, kSchedule, "delays scale by U[1 - f, 1 + f]; 0 = no draws"});
   v(c.jitter_seed, {"jitter_seed", "transfer_retry.jitter_seed", kAny,
                     kSchedule, "seed of the retry scatter"});
-}
-
-/// Replan cadence for planning policies (PERIODIC, PLAN_BF). The scheduler
-/// asks the policy for a fresh plan when the standing one expires
-/// (`window_seconds` after it was computed, or earlier if the plan itself
-/// returned a tighter valid_until), when the active set has churned through
-/// `churn_cycles` scheduling cycles since the last plan (0 disables the
-/// churn trigger), or when the policy reports PlanInvalidated. Greedy
-/// policies ignore all of this: their plans never expire and they replan
-/// only on (free) pointer-latching Plan calls after a restore.
-/// Each member's meaning and range is its row in VisitFields below.
-struct PlanConfig {
-  double window_seconds = 600.0;
-  double slice_seconds = 30.0;
-  std::uint64_t churn_cycles = 0;
-
-  /// The first rule a member breaks, or "" (the rules are the rows below).
-  std::string Validate() const;
-};
-
-template <util::MaybeConst<PlanConfig> C, class V>
-void VisitFields(C& c, V& v) {
-  using util::kNonNegative, util::kPositive;
-  constexpr auto kSchedule = util::HashClass::kSchedule;
-  v(c.window_seconds,
-    {"window_seconds", "plan.window_seconds", kPositive, kSchedule,
-     "planning-window length in seconds: plan lifetime and horizon "
-     "(PERIODIC/PLAN_BF)",
-     "plan-window"});
-  v(c.slice_seconds,
-    {"slice_seconds", "plan.slice_seconds", kPositive, kSchedule,
-     "pattern slice length in seconds (PERIODIC)", "plan-slice"});
-  v(c.churn_cycles,
-    {"churn_cycles", "plan.churn_cycles", kNonNegative, kSchedule,
-     "replan after N scheduling cycles (planning policies; 0 = off)",
-     "plan-churn"});
 }
 
 /// Checkpoint-flush-aware scheduling (application checkpoint traffic). When
@@ -252,19 +215,6 @@ class IoScheduler : private sim::EventHandler {
   /// starts). Throws std::invalid_argument on a negative deferral bound.
   void ConfigureFlushScheduling(const FlushDeferralConfig& config);
 
-  /// Configure the replan cadence (call before the run starts). Throws
-  /// std::invalid_argument on invalid fields. Meaningful only for planning
-  /// policies; harmless otherwise.
-  void ConfigurePlanning(const PlanConfig& config);
-
-  /// Plans built so far (0 until the first scheduling cycle; greedy
-  /// policies plan exactly once per process/restore).
-  std::uint64_t replans() const { return replans_; }
-
-  /// Wall-clock seconds spent inside IoPolicy::Plan (host-side measurement
-  /// for the plan-quality study; never feeds back into simulated time).
-  double plan_wall_seconds() const { return plan_wall_seconds_; }
-
   /// Cumulative volume the burst buffer has drained to the PFS by `now`
   /// (0 without a buffer). Settles the drain to `now` first, so callers can
   /// compare it against IoCompletionInfo::durable_drain_gb thresholds.
@@ -290,22 +240,6 @@ class IoScheduler : private sim::EventHandler {
     }
   }
 
-  /// Enable prediction-driven scheduling (call before the run starts).
-  /// In "learned" mode an IoBehaviorPredictor is trained online from
-  /// completed jobs (ObserveCompletion); "oracle" reads each job's exact
-  /// profile from the trace; "null" never produces a signal. While enabled,
-  /// every scheduling cycle delivers a PredictionState to the policy before
-  /// Assign. When disabled (the default) no predictor exists, no per-cycle
-  /// work happens, and results are bit-identical to a prediction-free build.
-  void ConfigurePrediction(const PredictionConfig& config);
-
-  /// Feed a job that ran to normal completion to the learned predictor.
-  /// Call before UnregisterJob. No-op unless learned prediction is enabled.
-  void ObserveCompletion(workload::JobId id);
-
-  /// The learned predictor, or nullptr when not in learned mode (tests).
-  const IoBehaviorPredictor* predictor() const { return predictor_.get(); }
-
   /// Install the seeded per-transfer straggler draw (fault injection): the
   /// callback returns the effective-rate multiplier for the next direct
   /// submission (1.0 = nominal). Null detaches — with no draw installed,
@@ -322,7 +256,8 @@ class IoScheduler : private sim::EventHandler {
   void OnBurstBufferFault(bool faulted, bool lose_data, sim::SimTime now);
 
   /// Drain-rate degradation edge (fault injection): settle the drain at the
-  /// old rate, apply the factor, and re-plan. Requires an attached buffer.
+  /// old rate, apply the factor, and run a cycle. Requires an attached
+  /// buffer.
   void OnDrainFactorChange(double factor, sim::SimTime now);
 
   /// Robustness counters (for reports).
@@ -352,7 +287,6 @@ class IoScheduler : private sim::EventHandler {
   enum EventKind : sim::Kind {
     kCompletion,    // next direct-transfer completion
     kDrain,         // burst-buffer drain empties
-    kPlanReview,    // next plan boundary (planning policies)
     kAbsorbed,      // key job, arg duration: absorbed request lands
     kFlushRelease,  // key job: deferred flush's forced release
     kDeadline,      // key job: transfer deadline
@@ -368,29 +302,10 @@ class IoScheduler : private sim::EventHandler {
   /// Refill `views` (cleared first) with the policy view of the active set.
   void FillViews(std::vector<IoJobView>& views) const;
 
-  /// Rebuild cycle_inputs_.prediction for the current cycle: one
-  /// PredictedBurst per computing job with a usable (support > 0)
-  /// prediction, plus the imminent aggregates over the configured horizon.
-  void BuildPredictionState(sim::SimTime now);
-
-  /// Refresh cycle_inputs_ for this cycle at the same points the old
-  /// per-cycle observer hooks delivered: tiers while a buffer is attached,
-  /// prediction while enabled, flush backlog while flush-aware scheduling
-  /// is on. Fields of disabled features keep their defaults.
-  void RefreshCycleInputs(sim::SimTime now);
-
-  /// Replan-or-execute decision for this cycle: (re)build the plan when
-  /// there is none, the standing one expired or churned out, or the policy
-  /// invalidated it; then Execute against the standing plan.
-  std::vector<RateGrant> PlanAndExecute(const PlanContext& ctx);
-
-  /// Re-arm the plan review event from the policy's NextPlanEvent (planning
-  /// policies only; greedy policies never add simulator events).
-  void ArmPlanReview(const PlanContext& ctx);
-
-  /// The mode's prediction for `job`: learned predictor, exact trace
-  /// profile (oracle), or the support-0 default (null).
-  IoPrediction PredictFor(const workload::Job& job) const;
+  /// Refresh cycle_inputs_ for this cycle: tiers while a buffer is
+  /// attached, flush backlog while flush-aware scheduling is on. Fields of
+  /// disabled features keep their defaults.
+  void RefreshCycleInputs();
 
   /// Completion event handler: finish every complete transfer, then cycle.
   void OnCompletionEvent();
@@ -503,37 +418,14 @@ class IoScheduler : private sim::EventHandler {
   /// Burst-buffer-tier congestion episode (occupancy above the watermark).
   bool bb_congested_ = false;
   sim::SimTime bb_congestion_start_ = 0.0;
-  /// Prediction-driven scheduling (off by default). The predictor only
-  /// exists in learned mode; the per-cycle PredictionState is rebuilt from
-  /// scratch each cycle, so only the predictor itself is checkpointed.
-  PredictionConfig prediction_config_;
-  std::unique_ptr<IoBehaviorPredictor> predictor_;
-  /// Per-cycle policy observations; handed to Plan/Execute by pointer.
-  /// Member (not stack) so GreedyAdapter's latched pointer stays valid
-  /// between cycles (DeferFlush reads the previous cycle's snapshot, the
-  /// same stale-snapshot semantics the old observer members had).
+  /// Per-cycle policy observations, bound to the policy at construction.
+  /// Member (not stack) so the policy's pointer stays valid between cycles
+  /// (DeferFlush reads the previous cycle's snapshot).
   CycleInputs cycle_inputs_;
-  /// Two-phase plan state. `policy_is_planning_` caches WantsPlanning()
-  /// (it gates the review event, the plan checkpoint section, and the
-  /// backfill hook).
-  PlanConfig plan_config_;
-  bool policy_is_planning_ = false;
-  bool has_plan_ = false;
-  sim::SimTime plan_computed_at_ = 0.0;
-  sim::SimTime plan_valid_until_ = 0.0;
-  std::uint64_t replans_ = 0;
-  std::uint64_t cycles_in_plan_ = 0;
-  double plan_wall_seconds_ = 0.0;
-  /// Plan review event: wakes the scheduler at the next plan boundary
-  /// (slice edge, reservation edge, window expiry) so planning policies can
-  /// change rates when no request arrives or completes there. Same
-  /// cancel/re-arm pattern as the drain event (0 when none is armed).
-  sim::EventId review_event_ = 0;
   /// Cycle-scratch buffers (capacity reused across the ~1 cycle per event
   /// of a month-long replay; cleared each use).
   std::vector<IoJobView> views_scratch_;
   std::vector<workload::JobId> done_scratch_;
-  std::vector<workload::JobId> ids_scratch_;
 };
 
 }  // namespace iosched::core

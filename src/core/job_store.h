@@ -25,9 +25,6 @@ struct JobContext {
   sim::SimTime start_time = 0.0;
   double completed_compute_seconds = 0.0;
   double completed_io_seconds = 0.0;  // uncongested equivalents
-  /// When the job's last I/O request finished (start_time before the first
-  /// one) — anchors the predictor's next-burst ETA estimate.
-  sim::SimTime last_io_end_time = 0.0;
 };
 
 /// Dense JobContext store with stable slots. Add returns the slot; the slot

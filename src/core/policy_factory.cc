@@ -7,9 +7,6 @@
 #include "core/adaptive_policy.h"
 #include "core/baseline_policy.h"
 #include "core/conservative_policy.h"
-#include "core/periodic_policy.h"
-#include "core/plan_bf_policy.h"
-#include "core/predictive_policy.h"
 #include "util/strings.h"
 
 namespace iosched::core {
@@ -17,16 +14,15 @@ namespace iosched::core {
 namespace {
 
 /// One registered policy: its figure name, the other (lowercase) spellings
-/// the factory accepts, its family, and how to build it. Plain constant
-/// data, so the table below is built at compile time and allocates nothing.
+/// the factory accepts, whether sweeps include it, and how to build it.
+/// Plain constant data, so the table below is built at compile time and
+/// allocates nothing.
 struct PolicyEntry {
   const char* name;
   /// Unused slots are null.
   std::array<const char*, 2> aliases;
   /// Member of AllPolicyNames(), the family sweeps iterate.
   bool swept;
-  /// Two-phase planning policy (WantsPlanning).
-  bool planning;
   std::unique_ptr<IoPolicy> (*make)();
 };
 
@@ -40,25 +36,17 @@ using Order = ConservativeOrder;
 /// The registry. Every list, lookup and message below is derived from it;
 /// the entry order is the order names are listed in.
 constexpr PolicyEntry kRegistry[] = {
-    {"BASE_LINE", {"baseline"}, true, false, &Make<BaselinePolicy>},
-    {"FCFS", {"cons_fcfs", "cons-fcfs"}, true, false,
+    {"BASE_LINE", {"baseline"}, true, &Make<BaselinePolicy>},
+    {"FCFS", {"cons_fcfs", "cons-fcfs"}, true,
      &Make<ConservativePolicy, Order::kFcfs>},
-    {"MAX_UTIL", {"cons_maxutil", "cons-maxutil"}, true, false,
+    {"MAX_UTIL", {"cons_maxutil", "cons-maxutil"}, true,
      &Make<ConservativePolicy, Order::kMaxUtil>},
-    {"MIN_INST_SLD", {"cons_mininstsld"}, true, false,
+    {"MIN_INST_SLD", {"cons_mininstsld"}, true,
      &Make<ConservativePolicy, Order::kMinInstSld>},
-    {"MIN_AGGR_SLD", {"cons_minaggrsld"}, true, false,
+    {"MIN_AGGR_SLD", {"cons_minaggrsld"}, true,
      &Make<ConservativePolicy, Order::kMinAggrSld>},
-    {"ADAPTIVE", {}, true, false, &Make<AdaptivePolicy>},
-    {"PREDICTIVE", {"cons_predictive"}, true, false, &Make<PredictivePolicy>},
-    {"PREDICTIVE_ADAPTIVE", {"predictive-adaptive"}, true, false,
-     &Make<AdaptivePolicy, /*predictive=*/true>},
-    {"BASE_LINE_MAXMIN", {"maxmin"}, false, false, &Make<MaxMinPolicy>},
-    {"SJF", {}, false, false, &Make<ConservativePolicy, Order::kShortestFirst>},
-    {"WSJF", {"smith"}, false, false,
-     &Make<ConservativePolicy, Order::kSmithRule>},
-    {"PERIODIC", {}, false, true, &Make<PeriodicPolicy>},
-    {"PLAN_BF", {"plan-bf", "planbf"}, false, true, &Make<PlanBfPolicy>},
+    {"ADAPTIVE", {}, true, &Make<AdaptivePolicy>},
+    {"BASE_LINE_MAXMIN", {"maxmin"}, false, &Make<MaxMinPolicy>},
 };
 
 /// The entry `name` spells (case-insensitive), or null.
@@ -73,26 +61,14 @@ const PolicyEntry* Find(const std::string& name) {
   return nullptr;
 }
 
-std::vector<std::string> NamesWhere(bool PolicyEntry::*flag) {
-  auto named = kRegistry |
-               std::views::filter([flag](const PolicyEntry& entry) {
-                 return entry.*flag;
-               }) |
-               std::views::transform(&PolicyEntry::name);
-  return {named.begin(), named.end()};
-}
-
 }  // namespace
 
 const std::vector<std::string>& AllPolicyNames() {
-  static const std::vector<std::string> kNames =
-      NamesWhere(&PolicyEntry::swept);
-  return kNames;
-}
-
-const std::vector<std::string>& PlanningPolicyNames() {
-  static const std::vector<std::string> kNames =
-      NamesWhere(&PolicyEntry::planning);
+  static const std::vector<std::string> kNames = [] {
+    auto swept = kRegistry | std::views::filter(&PolicyEntry::swept) |
+                 std::views::transform(&PolicyEntry::name);
+    return std::vector<std::string>(swept.begin(), swept.end());
+  }();
   return kNames;
 }
 
@@ -106,11 +82,6 @@ std::string PolicyNamesHelp() {
 }
 
 bool KnownPolicyName(const std::string& name) { return Find(name) != nullptr; }
-
-bool IsPlanningPolicyName(const std::string& name) {
-  const PolicyEntry* entry = Find(name);
-  return entry != nullptr && entry->planning;
-}
 
 std::unique_ptr<IoPolicy> MakePolicy(const std::string& name) {
   const PolicyEntry* entry = Find(name);

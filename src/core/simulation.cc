@@ -119,22 +119,7 @@ class Engine : private sim::EventHandler {
     burst_buffer_ = backend_->burst_buffer();
     simulator_.SetHandler(kEventOwner, this, kEventKinds);
     io_scheduler_.SetRetryConfig(config.transfer_retry);
-    io_scheduler_.ConfigurePrediction(config.prediction);
     io_scheduler_.ConfigureFlushScheduling(config.app_checkpoint);
-    io_scheduler_.ConfigurePlanning(config.plan);
-    if (io_scheduler_.policy().WantsPlanning()) {
-      // Reservation-aware backfill (PLAN_BF): after the geometric EASY
-      // probe passes, the planning policy may veto a candidate whose bursts
-      // would not fit the buffer's projected free capacity at shadow time,
-      // net of the absorb promises already on its table.
-      batch_.SetBackfillAdmission(
-          [this](const workload::Job& job, sim::SimTime now,
-                 sim::SimTime shadow) {
-            double projected =
-                backend_->ProjectedFreeCapacityGb(now, shadow);
-            return io_scheduler_.policy().AdmitBackfill(job, now, projected);
-          });
-    }
     if (config_.track_bandwidth) {
       io_scheduler_.SetBandwidthTracker(&bandwidth_tracker_);
     }
@@ -298,8 +283,6 @@ class Engine : private sim::EventHandler {
     result.events_processed = simulator_.processed_events();
     result.io_scheduling_cycles = io_scheduler_.cycles();
     result.policy_name = io_scheduler_.policy().name();
-    result.plan_replans = io_scheduler_.replans();
-    result.plan_wall_seconds = io_scheduler_.plan_wall_seconds();
     result.checkpoints_written = checkpoints_written_;
     result.resumed_from = resumed_from_;
     return result;
@@ -697,9 +680,6 @@ class Engine : private sim::EventHandler {
     ExecState state = running_.at(id);
     running_.erase(id);
     simulator_.Cancel(state.kill_event);
-    // Only jobs that ran to normal completion train the predictor: a
-    // walltime-killed job's observed phases misrepresent its behaviour.
-    if (!killed) io_scheduler_.ObserveCompletion(id);
     io_scheduler_.UnregisterJob(id);
     if (injector_.has_value()) injector_->OnJobStop(id);
     batch_.OnJobEnd(id, now);

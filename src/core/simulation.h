@@ -130,17 +130,6 @@ struct SimulationConfig {
   /// RestartMode::kRestartFromAppCheckpoint can requeue a failed job owing
   /// only the compute since its last fully drained flush.
   FlushDeferralConfig app_checkpoint;
-  /// Prediction-driven scheduling (disabled by default — the scheduler then
-  /// builds no predictions and results are bit-identical to a
-  /// prediction-free build). In "learned" mode the engine feeds every
-  /// normally completed job to the predictor; "oracle"/"null" bound the
-  /// value of prediction from above/below. Consumed by the PREDICTIVE and
-  /// PREDICTIVE_ADAPTIVE policies; other policies ignore the snapshots.
-  PredictionConfig prediction;
-  /// Replan cadence for planning policies (PERIODIC, PLAN_BF): window
-  /// length, pattern slice length, optional churn-cycle trigger. Ignored by
-  /// the greedy family.
-  PlanConfig plan;
   /// Run the from-scratch InvariantChecker alongside the simulation: every
   /// `invariant_check_every_events` events (and once after the queue
   /// drains) all incremental aggregates are recomputed and any mismatch
@@ -229,14 +218,6 @@ class SimulationConfig::Builder {
     config_.app_checkpoint = app_checkpoint;
     return *this;
   }
-  Builder& Prediction(PredictionConfig prediction) {
-    config_.prediction = std::move(prediction);
-    return *this;
-  }
-  Builder& Plan(PlanConfig plan) {
-    config_.plan = plan;
-    return *this;
-  }
   Builder& CheckInvariants(bool on, std::uint64_t every_events = 64) {
     config_.check_invariants = on;
     config_.invariant_check_every_events = every_events;
@@ -301,10 +282,6 @@ struct SimulationResult {
   std::uint64_t events_processed = 0;
   std::uint64_t io_scheduling_cycles = 0;
   std::string policy_name;
-  /// Two-phase planning statistics (1 plan per process for greedy
-  /// policies; the wall-clock cost is host-side measurement only).
-  std::uint64_t plan_replans = 0;
-  double plan_wall_seconds = 0.0;
   /// Checkpoints written during this run (periodic + emergency).
   std::uint64_t checkpoints_written = 0;
   /// Checkpoint file the run resumed from ("" for a fresh run).

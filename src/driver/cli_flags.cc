@@ -67,14 +67,6 @@ void AddBurstBufferFlags(util::CliParser& cli) {
               "PFS bandwidth reserved for the burst-buffer drain in GB/s");
 }
 
-void AddPredictionFlags(util::CliParser& cli) {
-  AddFieldFlags(cli, "prediction.");
-  cli.AddFlag("predict", "off",
-              "I/O behaviour prediction mode: off, learned, oracle, or null");
-}
-
-void AddPlanFlags(util::CliParser& cli) { AddFieldFlags(cli, "plan."); }
-
 void AddAppCheckpointFlags(util::CliParser& cli) {
   cli.AddFlag("app-ckpt-mtbf", "0",
               "application MTBF in seconds; a positive value enables "
@@ -149,28 +141,6 @@ void ApplyBurstBufferFlags(const util::CliParser& cli,
     // the buffer from the command line pulls in the drain default too.
     bb.drain_gbps = cli.GetDouble("bb-drain");
   }
-}
-
-void ApplyPredictionFlags(const util::CliParser& cli,
-                          core::SimulationConfig& config) {
-  FlagVisitor flags{{}, "prediction.", nullptr, &cli};
-  core::VisitFields(config, flags);
-  core::PredictionConfig& pred = config.prediction;
-  if (cli.Provided("predict")) {
-    std::string mode = cli.GetString("predict");
-    if (mode == "off") {
-      pred.enabled = false;
-    } else {
-      pred.enabled = true;
-      pred.mode = mode;  // Validate() rejects unknown modes.
-    }
-  }
-}
-
-void ApplyPlanFlags(const util::CliParser& cli,
-                    core::SimulationConfig& config) {
-  FlagVisitor flags{{}, "plan.", nullptr, &cli};
-  core::VisitFields(config, flags);
 }
 
 void ApplyAppCheckpointFlags(const util::CliParser& cli, Scenario& scenario) {

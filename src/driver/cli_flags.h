@@ -25,15 +25,6 @@ void AddScenarioFlags(util::CliParser& cli);
 /// but --bb-drain from the field table, core/config_fields.h).
 void AddBurstBufferFlags(util::CliParser& cli);
 
-/// Declare the prediction flags ApplyPredictionFlags reads:
-/// --predict (off|learned|oracle|null), --predict-alpha,
-/// --predict-min-support, --predict-horizon (the last three from the table).
-void AddPredictionFlags(util::CliParser& cli);
-
-/// Declare the planning flags ApplyPlanFlags reads, all from the field
-/// table's [plan] rows: --plan-window, --plan-slice, --plan-churn.
-void AddPlanFlags(util::CliParser& cli);
-
 /// Declare the application-checkpoint flags ApplyAppCheckpointFlags reads:
 /// --app-ckpt-mtbf (0 = off), --app-ckpt-defer, --app-ckpt-min-interval,
 /// --app-ckpt-seed.
@@ -57,18 +48,6 @@ Scenario ScenarioFromFlags(const util::CliParser& cli);
 /// pulls in the --bb-drain default so a single flag enables the tier.
 void ApplyBurstBufferFlags(const util::CliParser& cli,
                            core::SimulationConfig& config);
-
-/// Overlay the prediction flags onto `config`. --predict off disables the
-/// subsystem (the default); any other mode enables it. The tuning flags
-/// override their fields only when explicitly provided.
-void ApplyPredictionFlags(const util::CliParser& cli,
-                          core::SimulationConfig& config);
-
-/// Overlay the planning flags onto `config`; each explicitly provided flag
-/// overrides its field. SimulationConfig::Validate applies the rows' range
-/// rules (a negative --plan-churn fails as plan.churn_cycles).
-void ApplyPlanFlags(const util::CliParser& cli,
-                    core::SimulationConfig& config);
 
 /// Overlay the app-checkpoint flags onto `scenario`. A positive
 /// --app-ckpt-mtbf enables the whole resilience stack in one step: the

@@ -1,6 +1,7 @@
 #include "machine/machine.h"
 
 #include <stdexcept>
+#include <string>
 
 namespace iosched::machine {
 
@@ -52,20 +53,23 @@ MachineConfig MachineConfig::Small() {
   return cfg;
 }
 
-Machine::Machine(MachineConfig config)
-    : config_(config),
-      occupied_words_(
-          static_cast<std::size_t>((config.total_midplanes() + 63) / 64), 0),
-      faulted_words_(
-          static_cast<std::size_t>((config.total_midplanes() + 63) / 64), 0) {
-  if (config_.nodes_per_midplane <= 0 || config_.midplanes_per_row <= 0 ||
-      config_.rows <= 0) {
-    throw std::invalid_argument("Machine: non-positive geometry");
-  }
-  if (config_.node_bandwidth_gbps <= 0) {
-    throw std::invalid_argument("Machine: non-positive node bandwidth");
-  }
+namespace {
+/// `config`, once it keeps every rule of its table: the word vectors below
+/// are sized from its geometry.
+MachineConfig Checked(MachineConfig config) {
+  std::string err = util::FirstIssue(config);
+  if (!err.empty()) throw std::invalid_argument("Machine: " + err);
+  return config;
 }
+}  // namespace
+
+Machine::Machine(MachineConfig config)
+    : config_(Checked(config)),
+      occupied_words_(
+          static_cast<std::size_t>((config_.total_midplanes() + 63) / 64), 0),
+      faulted_words_(
+          static_cast<std::size_t>((config_.total_midplanes() + 63) / 64),
+          0) {}
 
 int Machine::BlockMidplanesFor(int requested_nodes) const {
   if (requested_nodes <= 0) return -1;

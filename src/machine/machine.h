@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "ckpt/serializer.h"
+#include "util/field_table.h"
 
 namespace iosched::machine {
 
@@ -43,6 +44,22 @@ struct MachineConfig {
   static MachineConfig Small();
 };
 
+/// MachineConfig's rows of the SimulationConfig field table
+/// (util/field_table.h); Machine's constructor checks the same rules.
+template <util::MaybeConst<MachineConfig> C, class V>
+void VisitFields(C& c, V& v) {
+  using util::kPositive;
+  constexpr auto kSchedule = util::HashClass::kSchedule;
+  v(c.nodes_per_midplane, {"nodes_per_midplane", nullptr, kPositive,
+                           kSchedule, "set by [machine] preset"});
+  v(c.midplanes_per_row, {"midplanes_per_row", nullptr, kPositive, kSchedule,
+                          "set by [machine] preset"});
+  v(c.rows, {"rows", nullptr, kPositive, kSchedule, "set by [machine] preset"});
+  v(c.node_bandwidth_gbps,
+    {"node_bandwidth_gbps", "machine.node_bandwidth_gbps", kPositive,
+     kSchedule, "per-node injection bandwidth b (GB/s)"});
+}
+
 /// A granted partition: a contiguous aligned run of midplanes.
 struct Partition {
   int first_midplane = 0;
@@ -56,6 +73,7 @@ struct Partition {
 /// Tracks midplane occupancy and implements the partition allocator.
 class Machine {
  public:
+  /// Throws std::invalid_argument when `config` breaks a row of its table.
   explicit Machine(MachineConfig config);
 
   const MachineConfig& config() const { return config_; }

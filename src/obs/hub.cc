@@ -29,7 +29,6 @@ Hub::Hub(const Options& options)
   invariant_checks = registry_.AddCounter("core.invariant_checks");
   sched_passes = registry_.AddCounter("sched.passes");
   backfill_starts = registry_.AddCounter("sched.backfill_starts");
-  backfill_denials = registry_.AddCounter("sched.backfill_denials");
   jobs_submitted = registry_.AddCounter("sched.jobs_submitted");
   jobs_started = registry_.AddCounter("sched.jobs_started");
   jobs_completed = registry_.AddCounter("sched.jobs_completed");

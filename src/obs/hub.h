@@ -91,9 +91,6 @@ class Hub {
   /// sched.backfill_starts — jobs started by EASY backfill (behind a
   /// blocked head).
   Counter* backfill_starts = nullptr;
-  /// sched.backfill_denials — geometrically viable backfills vetoed by the
-  /// admission hook (reservation-aware planning policies).
-  Counter* backfill_denials = nullptr;
   /// sched.jobs_* — lifecycle counts from the engine's event emit point.
   Counter* jobs_submitted = nullptr;
   Counter* jobs_started = nullptr;

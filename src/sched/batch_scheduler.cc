@@ -16,19 +16,11 @@ BatchScheduler::BatchScheduler(machine::Machine& machine, Options options)
       wait_queue_(options.order),
       release_masks_(machine.mask_words(), 0),
       jitter_rng_(options.backoff_jitter_seed, /*stream=*/37) {
-  if (options_.backoff_jitter_fraction < 0 ||
-      options_.backoff_jitter_fraction >= 1.0) {
-    throw std::invalid_argument(
-        "BatchScheduler: backoff_jitter_fraction must be in [0, 1)");
-  }
+  std::string err = util::FirstIssue(options_);
+  if (!err.empty()) throw std::invalid_argument("BatchScheduler: " + err);
 }
 
 void BatchScheduler::Submit(const workload::Job& job) {
-  std::string err = job.Validate();
-  if (!err.empty()) {
-    throw std::invalid_argument("Submit: invalid job " +
-                                std::to_string(job.id) + ": " + err);
-  }
   std::optional<int> block_nodes = machine_.BlockNodesFor(job.nodes);
   if (!block_nodes) {
     throw std::invalid_argument("Submit: job " + std::to_string(job.id) +
@@ -215,15 +207,7 @@ std::vector<StartDecision> BatchScheduler::Schedule(sim::SimTime now) {
       continue;
     }
     if (BackfillOk(*job, *blocked_head, now, shadow)) {
-      // Geometry says the backfill cannot delay the reservation; an
-      // installed admission hook (reservation-aware planning policies) may
-      // still veto it on projected storage pressure. A veto is not a
-      // capacity failure, so min_failed_block_nodes stays untouched.
-      if (backfill_admission_ && !backfill_admission_(*job, now, shadow)) {
-        if (hub_ != nullptr) hub_->backfill_denials->Inc();
-        machine_.Release(*partition);
-        continue;
-      }
+      if (backfill_admission_) backfill_admission_(*job, now, shadow);
       if (hub_ != nullptr) hub_->backfill_starts->Inc();
       decisions.push_back(StartDecision{job, *partition});
       StartRunning(*job, *partition, now);

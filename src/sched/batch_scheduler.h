@@ -26,6 +26,7 @@
 #include "sched/queue_policy.h"
 #include "sched/wait_queue.h"
 #include "sim/time.h"
+#include "util/field_table.h"
 #include "util/rng.h"
 #include "workload/job.h"
 
@@ -79,10 +80,13 @@ class BatchScheduler {
     bool incremental_order = true;
   };
 
-  /// `machine` must outlive the scheduler.
+  /// `machine` must outlive the scheduler. Throws std::invalid_argument
+  /// when `options` breaks a row of its table (VisitFields below).
   BatchScheduler(machine::Machine& machine, Options options);
 
-  /// Add a job to the wait queue.
+  /// Add a job to the wait queue. The job must be valid (Job::Validate;
+  /// the engine validates every job once before the run); throws
+  /// std::invalid_argument when it is larger than the machine.
   void Submit(const workload::Job& job);
 
   /// Decide which queued jobs start at `now`; partitions are allocated as a
@@ -119,12 +123,12 @@ class BatchScheduler {
   /// scheduler or be detached first.
   void SetObs(obs::Hub* hub) { hub_ = hub; }
 
-  /// Admission check consulted for each backfill candidate AFTER the
-  /// geometric EASY probe passed: (job, now, shadow_time) -> may it start?
-  /// Used by reservation-aware planning policies to veto backfills whose
-  /// I/O bursts would not fit the projected burst-buffer capacity. Null
-  /// (the default) admits everything — classic EASY. Must be deterministic.
-  using BackfillAdmission = std::function<bool(
+  /// Observer called for each backfill candidate the geometric EASY probe
+  /// passed, with (job, now, shadow_time), just before the job starts: the
+  /// candidate's partition is allocated but the job is not yet in the
+  /// running set. It cannot veto the start. Tests use it to check the
+  /// probes from inside a pass; null (the default) observes nothing.
+  using BackfillAdmission = std::function<void(
       const workload::Job&, sim::SimTime, sim::SimTime)>;
   void SetBackfillAdmission(BackfillAdmission admission) {
     backfill_admission_ = std::move(admission);
@@ -230,5 +234,33 @@ class BatchScheduler {
   BackfillAdmission backfill_admission_;
   obs::Hub* hub_ = nullptr;
 };
+
+/// BatchScheduler::Options' rows of the SimulationConfig field table
+/// (util/field_table.h); the scheduler's constructor checks the same rules.
+template <util::MaybeConst<BatchScheduler::Options> C, class V>
+void VisitFields(C& c, V& v) {
+  using util::kAny, util::kFraction, util::kNonNegative;
+  using enum util::HashClass;
+  v(c.order, {"order", "batch.order", kAny, kSchedule, "wfp or fcfs"});
+  v(c.easy_backfill, {"easy_backfill", "batch.easy_backfill", kAny, kSchedule,
+                      "EASY backfilling"});
+  v(c.max_retries, {"max_retries", "faults.max_retries", kNonNegative,
+                    kSchedule, "requeues before a job is abandoned"});
+  v(c.requeue_backoff_seconds,
+    {"requeue_backoff_seconds", "faults.backoff_seconds", kNonNegative,
+     kSchedule, "base requeue delay (s), doubled per retry"});
+  v(c.max_backoff_seconds,
+    {"max_backoff_seconds", "faults.max_backoff_seconds", kNonNegative,
+     kSchedule, "requeue delay cap (s)"});
+  v(c.backoff_jitter_fraction,
+    {"backoff_jitter_fraction", "faults.backoff_jitter_fraction", kFraction,
+     kSchedule, "seeded +/- scatter on requeue delays"});
+  v(c.backoff_jitter_seed,
+    {"backoff_jitter_seed", "faults.backoff_jitter_seed", kAny, kSchedule,
+     "seed of the requeue scatter"});
+  v(c.incremental_order,
+    {"incremental_order", nullptr, kAny, kExcluded,
+     "both queue-order paths give bit-identical schedules"});
+}
 
 }  // namespace iosched::sched

@@ -1,7 +1,6 @@
 #include "storage/backend.h"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -10,14 +9,6 @@ namespace iosched::storage {
 double StorageBackend::UsableBandwidth(sim::SimTime now) {
   (void)now;
   return model_.config().max_bandwidth_gbps;
-}
-
-double StorageBackend::ProjectedFreeCapacityGb(sim::SimTime now,
-                                               sim::SimTime at) {
-  (void)now;
-  (void)at;
-  // No absorbing tier: capacity is never the constraint.
-  return std::numeric_limits<double>::infinity();
 }
 
 TierStatus StorageBackend::Status() const {
@@ -50,16 +41,6 @@ double BurstBufferBackend::UsableBandwidth(sim::SimTime now) {
   buffer_.AdvanceTo(now);
   return std::max(0.0, model_.config().max_bandwidth_gbps -
                            buffer_.CurrentDrainRate());
-}
-
-double BurstBufferBackend::ProjectedFreeCapacityGb(sim::SimTime now,
-                                                   sim::SimTime at) {
-  buffer_.AdvanceTo(now);
-  if (buffer_.faulted()) return 0.0;  // absorbing nothing until repaired
-  double horizon = std::max(0.0, at - now);
-  double cleared = buffer_.CurrentDrainRate() * horizon;
-  return std::min(buffer_.free_gb() + cleared,
-                  buffer_.config().capacity_gb);
 }
 
 std::unique_ptr<StorageBackend> MakeBackend(const StorageConfig& storage,

@@ -59,15 +59,6 @@ class StorageBackend {
   /// the drain reservation (never negative). Advances the absorbing tier.
   virtual double UsableBandwidth(sim::SimTime now);
 
-  /// Projected free absorb capacity (GB) of the absorbing tier at future
-  /// instant `at` (>= now): current free space plus what the drain clears
-  /// in between, capped at capacity — a faulted buffer projects 0. A
-  /// backend with no absorbing tier projects +infinity ("absorb capacity
-  /// is never the constraint"). Advances the absorbing tier to `now`; the
-  /// projection itself mutates nothing. Feeds reservation-aware backfill
-  /// admission (PLAN_BF).
-  virtual double ProjectedFreeCapacityGb(sim::SimTime now, sim::SimTime at);
-
   TierStatus Status() const;
 
  protected:
@@ -89,7 +80,6 @@ class BurstBufferBackend final : public StorageBackend {
   const char* name() const override { return "burst_buffer"; }
   BurstBuffer* burst_buffer() override { return &buffer_; }
   double UsableBandwidth(sim::SimTime now) override;
-  double ProjectedFreeCapacityGb(sim::SimTime now, sim::SimTime at) override;
 
  private:
   BurstBuffer buffer_;

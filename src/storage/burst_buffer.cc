@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "util/units.h"
 
@@ -13,14 +14,8 @@ BurstBuffer::BurstBuffer(BurstBufferConfig config) : config_(config) {
         "BurstBuffer: construct only with an enabled config (capacity and "
         "drain bandwidth both positive)");
   }
-  if (config_.absorb_gbps < 0 || config_.per_job_quota_gb < 0) {
-    throw std::invalid_argument(
-        "BurstBuffer: absorb_gbps and per_job_quota_gb must be >= 0");
-  }
-  if (config_.congestion_watermark <= 0 || config_.congestion_watermark > 1) {
-    throw std::invalid_argument(
-        "BurstBuffer: congestion_watermark must be in (0, 1]");
-  }
+  std::string err = util::FirstIssue(config_);
+  if (!err.empty()) throw std::invalid_argument("BurstBuffer: " + err);
 }
 
 void BurstBuffer::AdvanceTo(sim::SimTime now) {

@@ -9,7 +9,7 @@
 namespace iosched::workload {
 
 namespace {
-/// RNG stream for per-job class assignment (see DESIGN.md §12; 7, 17, 23,
+/// RNG stream for per-job class assignment (see DESIGN.md §11; 7, 17, 23,
 /// 29, 31, 37, 41, and 43 are taken by other subsystems).
 constexpr std::uint64_t kClassStream = 47;
 

@@ -1,4 +1,4 @@
-// Application checkpoint-traffic generator (DESIGN.md §12).
+// Application checkpoint-traffic generator (DESIGN.md §11).
 //
 // Real petascale PFS traffic is dominated by *defensive* I/O: applications
 // periodically flush a checkpoint so that an MTBF-driven failure costs only

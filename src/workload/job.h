@@ -59,7 +59,7 @@ struct Job {
   /// saturate their injection links). The job's full I/O rate is
   /// b * io_efficiency * N_i.
   double io_efficiency = 1.0;
-  /// Optional provenance (used by the I/O-behavior predictor extension).
+  /// Optional provenance (trace user and project/group ids).
   std::string user;
   std::string project;
 

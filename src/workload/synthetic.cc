@@ -39,8 +39,8 @@ Workload GenerateWorkload(const SyntheticConfig& config, std::uint64_t seed) {
   util::Rng rng(seed, /*stream=*/7);
 
   // Assign each synthetic project an I/O-intensity band so that projects have
-  // consistent I/O behaviour (this is what makes the paper's future-work
-  // predictor learnable from history).
+  // consistent I/O behaviour (the premise of the paper's future-work
+  // proposal to predict a job's I/O from its history).
   std::vector<double> band_weights;
   band_weights.reserve(config.io_bands.size());
   for (const IoIntensityBand& band : config.io_bands) {
@@ -94,8 +94,8 @@ Workload GenerateWorkload(const SyntheticConfig& config, std::uint64_t seed) {
         rng.UniformInt(0, std::max(1, config.user_count) - 1));
     int project = static_cast<int>(
         rng.UniformInt(0, std::max(1, config.project_count) - 1));
-    job.user = "u" + std::to_string(user);
-    job.project = "p" + std::to_string(project);
+    job.user = std::string("u").append(std::to_string(user));
+    job.project = std::string("p").append(std::to_string(project));
 
     const IoIntensityBand& band =
         config.io_bands[project_band[static_cast<std::size_t>(project)]];

@@ -91,7 +91,7 @@ struct SyntheticConfig {
   /// Per-node bandwidth used to convert I/O-time fraction into volume.
   double node_bandwidth_gbps = 1536.0 / 49152.0;
 
-  /// Number of distinct synthetic users/projects (for the predictor).
+  /// Number of distinct synthetic users/projects.
   int user_count = 64;
   int project_count = 24;
 

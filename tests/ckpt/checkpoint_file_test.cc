@@ -77,8 +77,11 @@ TEST(CheckpointFile, FutureVersionIsVersionError) {
 }
 
 TEST(CheckpointFile, OlderVersionsAreVersionErrors) {
-  // Version 3 saved pending events inside each component's section; 1 and
-  // 2 predate the slim records and the arrival cursor. None is misread.
+  // Version 5 carried the prediction and plan gate bytes in the iosched
+  // section and numbered the scheduler's event kinds with a plan review; 4
+  // hashed workloads byte-wise; 3 saved pending events inside each
+  // component's section; 1 and 2 predate the slim records and the arrival
+  // cursor. None is misread.
   std::string bytes = MakeFile().Encode();
   for (std::uint32_t version = 1; version < kFormatVersion; ++version) {
     bytes[8] = static_cast<char>(version);

@@ -124,9 +124,10 @@ class ConfigFieldPerturbation : public ::testing::Test {
 
     scenario_ = driver::MakeEvaluationScenario(1, 1.0);
     SimulationConfig& base = scenario_.config;
-    // Every row is hashed or excluded unconditionally on this base: a
-    // planning policy brings in the [plan] rows, obs the sampling period.
-    base.policy = "PERIODIC";
+    // Every row is hashed or excluded unconditionally on this base: obs
+    // brings in the sampling period. ADAPTIVE reads the tier snapshot, so
+    // the burst-buffer rows below shape its grants too.
+    base.policy = "ADAPTIVE";
     base.obs.enabled = true;
     // Congested storage, so that knobs such as the walltime kill bite, and
     // a live burst buffer and a checkpoint directory, so that the rows that
@@ -176,11 +177,11 @@ TEST_F(ConfigFieldPerturbation, HashMovesExactlyForHashedRows) {
   for (int row = 0; row < rows; ++row) {
     SimulationConfig moved = base;
     // String candidates, in order: the resume rows need the checkpoint
-    // file, prediction.mode a mode, policy a policy name.
+    // file, policy a policy name.
     RowMover mover;
     mover.target = row;
     mover.config = &moved;
-    mover.texts = {checkpoint_file_, "oracle", "ADAPTIVE"};
+    mover.texts = {checkpoint_file_, "MAX_UTIL"};
     mover.control = &control_;
     VisitFields(moved, mover);
     if (!mover.moved) {

@@ -28,34 +28,25 @@ driver::Scenario DefaultConfigOverWl1Day() {
 }
 
 TEST(ConfigHashPin, DefaultConfig) {
-  EXPECT_EQ(HashOf(DefaultConfigOverWl1Day()), 0x6f209709c8a2caa0ULL);
+  EXPECT_EQ(HashOf(DefaultConfigOverWl1Day()), 0x437a47be777da510ULL);
 }
 
 TEST(ConfigHashPin, ShippedIniConfigs) {
   EXPECT_EQ(HashOf(driver::ScenarioFromConfigFile(std::string(
                 IOSCHED_CONFIG_DIR) + "/example.ini")),
-            0xcc33ddc2b35af434ULL);
+            0x22e9fdc8ca85cd90ULL);
   EXPECT_EQ(HashOf(driver::ScenarioFromConfigFile(std::string(
                 IOSCHED_CONFIG_DIR) + "/faults.ini")),
-            0xe30d1b0dc60328dbULL);
+            0x1a36795431af22adULL);
 }
 
 TEST(ConfigHashPin, EvaluationMonths) {
-  const std::uint64_t pins[] = {0x8294900bf6a20135ULL, 0x9f64827089a29c1fULL,
-                                0x080115316b83998eULL};
+  const std::uint64_t pins[] = {0x24ded83097e6f7c5ULL, 0xd54ca3b5ee0c402fULL,
+                                0x6d8d7310c62f073eULL};
   for (int month = 1; month <= 3; ++month) {
     EXPECT_EQ(HashOf(driver::MakeEvaluationScenario(month)), pins[month - 1])
         << "WL" << month;
   }
-}
-
-TEST(ConfigHashPin, PlanningPolicyWithNonDefaultPlan) {
-  driver::Scenario scenario = DefaultConfigOverWl1Day();
-  scenario.config.policy = "PERIODIC";
-  scenario.config.plan.window_seconds = 1200.0;
-  scenario.config.plan.slice_seconds = 45.0;
-  scenario.config.plan.churn_cycles = 5;
-  EXPECT_EQ(HashOf(scenario), 0x07b20cbaa9570855ULL);
 }
 
 TEST(ConfigHashPin, ExplicitFaultPlan) {
@@ -73,14 +64,14 @@ TEST(ConfigHashPin, ExplicitFaultPlan) {
   plan.job_mtbf_seconds = 7200.0;
   plan.mtbf_seed = 11;
   scenario.config.faults.restart_mode = faults::RestartMode::kRestartFromZero;
-  EXPECT_EQ(HashOf(scenario), 0xf1eb80ed8f82e9b6ULL);
+  EXPECT_EQ(HashOf(scenario), 0xab2685fc06640b66ULL);
 }
 
 TEST(ConfigHashPin, ObsEnabled) {
   driver::Scenario scenario = DefaultConfigOverWl1Day();
   scenario.config.obs.enabled = true;
   scenario.config.obs.sample_dt_seconds = 300.0;
-  EXPECT_EQ(HashOf(scenario), 0xc8bf5123f1a87c8bULL);
+  EXPECT_EQ(HashOf(scenario), 0xb5d9daf33ea162dbULL);
 }
 
 }  // namespace

@@ -368,8 +368,6 @@ TEST(PolicyFactory, CaseInsensitiveAndAliases) {
 }
 
 TEST(PolicyFactory, BuildsExtensionPolicies) {
-  EXPECT_EQ(MakePolicy("SJF")->name(), "SJF");
-  EXPECT_EQ(MakePolicy("WSJF")->name(), "WSJF");
   EXPECT_EQ(MakePolicy("BASE_LINE_MAXMIN")->name(), "BASE_LINE_MAXMIN");
 }
 
@@ -383,51 +381,23 @@ TEST(PolicyFactory, HelpListsExactlyTheFactoryNames) {
   // ...and every name or alias the factory accepts builds a policy the help
   // text lists.
   std::vector<std::string> accepted = {
-      "BASE_LINE_MAXMIN", "maxmin", "SJF", "WSJF", "smith", "baseline",
-      "cons_fcfs", "cons-fcfs", "cons_maxutil", "cons-maxutil",
-      "cons_mininstsld", "cons_minaggrsld", "cons_predictive",
-      "predictive-adaptive", "plan-bf", "planbf"};
+      "BASE_LINE_MAXMIN", "maxmin", "baseline", "cons_fcfs", "cons-fcfs",
+      "cons_maxutil", "cons-maxutil", "cons_mininstsld", "cons_minaggrsld"};
   accepted.insert(accepted.end(), AllPolicyNames().begin(),
                   AllPolicyNames().end());
-  accepted.insert(accepted.end(), PlanningPolicyNames().begin(),
-                  PlanningPolicyNames().end());
   for (const std::string& name : accepted) {
     std::string built = MakePolicy(name)->name();
     EXPECT_NE(std::find(help.begin(), help.end(), built), help.end())
         << name << " builds " << built << ", missing from the help text";
   }
-  // The planning flag agrees with the built policy.
-  for (const std::string& name : help) {
-    EXPECT_EQ(IsPlanningPolicyName(name), MakePolicy(name)->WantsPlanning())
-        << name;
-  }
+  // The six paper policies plus the BASE_LINE_MAXMIN ablation.
+  EXPECT_EQ(help.size(), 7u);
+  EXPECT_EQ(AllPolicyNames().size(), 6u);
 }
 
 TEST(PolicyFactory, UnknownThrows) {
   EXPECT_THROW(MakePolicy("round_robin"), std::invalid_argument);
   EXPECT_THROW(MakePolicy(""), std::invalid_argument);
-}
-
-TEST(ConsExtensions, SjfPrefersShortTransfer) {
-  ConservativePolicy p(ConservativeOrder::kShortestFirst);
-  // Both demand 128 (only one fits); job 2 has far less remaining.
-  std::vector<IoJobView> active = {MakeView(1, 4096, 10000, 0),
-                                   MakeView(2, 4096, 100, 1)};
-  auto m = AsMap(p.Assign(active, kBwMax, 10));
-  EXPECT_DOUBLE_EQ(m[2], 128.0);
-  EXPECT_DOUBLE_EQ(m[1], 0.0);
-}
-
-TEST(ConsExtensions, WsjfWeighsNodesAgainstTime) {
-  ConservativePolicy p(ConservativeOrder::kSmithRule);
-  // Job 1: 8192 nodes (capped demand 250), 2000 GB left at 256 -> 7.8 s,
-  // index ~ 8192/7.8 = 1049. Job 2: 512 nodes, 32 GB left at 16 -> 2 s,
-  // index 256. Smith's rule picks the big job despite the longer transfer.
-  std::vector<IoJobView> active = {MakeView(1, 8192, 2000, 0),
-                                   MakeView(2, 512, 32, 1)};
-  auto m = AsMap(p.Assign(active, kBwMax, 10));
-  EXPECT_DOUBLE_EQ(m[1], kBwMax);
-  EXPECT_DOUBLE_EQ(m[2], 0.0);
 }
 
 // ------------------------------------------------------------- validation
@@ -472,15 +442,7 @@ TEST_P(PolicyPropertySweep, GrantsAlwaysFeasible) {
       v.transferred_gb = (x % 3 == 0) ? volume * 0.25 : 0.0;
       active.push_back(v);
     }
-    // Drive through the two-phase API, as the framework does.
-    CycleInputs inputs;
-    PlanContext ctx;
-    ctx.active = active;
-    ctx.inputs = &inputs;
-    ctx.max_bandwidth_gbps = kBwMax;
-    ctx.now = 100.0;
-    policy->Plan(ctx);
-    auto grants = policy->Execute(ctx, PlanCursor{seed, 100.0, 0});
+    auto grants = policy->Assign(active, kBwMax, 100.0);
     EXPECT_NO_THROW(ValidateGrants(active, grants));
     EXPECT_LE(TotalRate(grants), kBwMax + 1e-6);
     // At least one job must make progress (no deadlock).

@@ -4,6 +4,9 @@
 
 #include <algorithm>
 
+#include "driver/scenario.h"
+#include "metrics/digest.h"
+
 namespace iosched::core {
 namespace {
 
@@ -128,6 +131,11 @@ TEST(Simulation, InvalidJobRejected) {
   workload::Workload jobs = {MakeJob(1, 0, 0, 100, 0, 0)};
   EXPECT_THROW(RunSimulation(SmallConfig("BASE_LINE"), jobs),
                std::invalid_argument);
+  // The run validates every job once, before the batch scheduler sees it.
+  workload::Workload no_phases = {MakeJob(1, 0, 1024, 100, 0, 0)};
+  no_phases[0].phases.clear();
+  EXPECT_THROW(RunSimulation(SmallConfig("BASE_LINE"), no_phases),
+               std::invalid_argument);
 }
 
 TEST(Simulation, UnknownPolicyRejected) {
@@ -232,6 +240,32 @@ TEST(Simulation, PolicyNameReported) {
   workload::Workload jobs = {MakeJob(1, 0, 512, 100, 0, 0)};
   SimulationResult result = RunSimulation(SmallConfig("MIN_INST_SLD"), jobs);
   EXPECT_EQ(result.policy_name, "MIN_INST_SLD");
+}
+
+/// End-to-end anchor: the committed BENCH_core.json digests reproduce
+/// bit-exactly at month scale and on the 5-day year-smoke cut.
+TEST(Simulation, MonthAndYearSmokeDigestsMatchCommittedBaseline) {
+  struct Pin {
+    const char* policy;
+    bool year;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {"BASE_LINE", false, 0x30aa04fbe9c4f621ULL},
+      {"MAX_UTIL", false, 0x6324b0a506e151d7ULL},
+      {"ADAPTIVE", false, 0xb209a3c0d8cf61bcULL},
+      {"BASE_LINE", true, 0xe81a513c1dbc34d4ULL},  // YEAR_SMOKE
+  };
+  for (const Pin& pin : pins) {
+    driver::Scenario scenario = pin.year
+                                    ? driver::MakeYearScenario(5.0)
+                                    : driver::MakeEvaluationScenario(1, 30.0);
+    SimulationConfig config = scenario.config;
+    config.policy = pin.policy;
+    SimulationResult result = RunSimulation(config, scenario.jobs);
+    EXPECT_EQ(metrics::DigestRecords(result.records), pin.digest)
+        << pin.policy << (pin.year ? " (year smoke)" : " (month)");
+  }
 }
 
 }  // namespace

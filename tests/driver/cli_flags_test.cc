@@ -75,72 +75,6 @@ TEST(CliFlags, UnprovidedFlagsPreserveAConfiguredBuffer) {
   EXPECT_DOUBLE_EQ(config.burst_buffer.per_job_quota_gb, 100.0);
 }
 
-TEST(CliFlags, NegativeMinSupportFailsValidation) {
-  // The flag casts into an unsigned field; the table's ">= 0" rule reads
-  // the value as signed, so Validate rejects it instead of running with a
-  // support threshold of 2^64 - 1.
-  util::CliParser cli("test");
-  AddPredictionFlags(cli);
-  const std::vector<const char*> args = {"--predict", "learned",
-                                         "--predict-min-support", "-1"};
-  ASSERT_TRUE(cli.Parse(static_cast<int>(args.size()), args.data()))
-      << cli.error();
-  core::SimulationConfig config;
-  ApplyPredictionFlags(cli, config);
-  std::vector<core::ConfigIssue> issues = config.Validate();
-  ASSERT_EQ(issues.size(), 1u);
-  EXPECT_EQ(issues[0].field, "prediction.min_support");
-}
-
-TEST(CliFlags, PredictionFlagsDefaultToTheStructDefaults) {
-  util::CliParser cli("test");
-  AddPredictionFlags(cli);
-  const std::vector<const char*> args = {"--predict", "oracle",
-                                         "--predict-alpha", "0.5"};
-  ASSERT_TRUE(cli.Parse(static_cast<int>(args.size()), args.data()))
-      << cli.error();
-  core::SimulationConfig config;
-  ApplyPredictionFlags(cli, config);
-  EXPECT_TRUE(config.prediction.enabled);
-  EXPECT_EQ(config.prediction.mode, "oracle");
-  EXPECT_DOUBLE_EQ(config.prediction.alpha, 0.5);
-  const core::PredictionConfig defaults;
-  EXPECT_EQ(config.prediction.min_support, defaults.min_support);
-  EXPECT_DOUBLE_EQ(config.prediction.horizon_seconds,
-                   defaults.horizon_seconds);
-  EXPECT_EQ(cli.GetString("predict-horizon"), "300");
-}
-
-TEST(CliFlags, PlanFlagsOverrideTheirFieldsAndKeepTheirDefaults) {
-  util::CliParser cli("test");
-  AddPlanFlags(cli);
-  const std::vector<const char*> args = {"--plan-window", "900",
-                                         "--plan-churn", "3"};
-  ASSERT_TRUE(cli.Parse(static_cast<int>(args.size()), args.data()))
-      << cli.error();
-  core::SimulationConfig config;
-  ApplyPlanFlags(cli, config);
-  EXPECT_DOUBLE_EQ(config.plan.window_seconds, 900.0);
-  EXPECT_DOUBLE_EQ(config.plan.slice_seconds, 30.0);
-  EXPECT_EQ(config.plan.churn_cycles, 3u);
-  EXPECT_EQ(cli.GetString("plan-window"), "900");
-  EXPECT_EQ(cli.GetString("plan-slice"), "30");
-}
-
-TEST(CliFlags, NegativePlanChurnFailsValidation) {
-  util::CliParser cli("test");
-  AddPlanFlags(cli);
-  const std::vector<const char*> args = {"--plan-churn", "-1"};
-  ASSERT_TRUE(cli.Parse(static_cast<int>(args.size()), args.data()))
-      << cli.error();
-  core::SimulationConfig config;
-  ApplyPlanFlags(cli, config);
-  std::vector<core::ConfigIssue> issues = config.Validate();
-  ASSERT_EQ(issues.size(), 1u);
-  EXPECT_EQ(issues[0].field, "plan.churn_cycles");
-  EXPECT_EQ(issues[0].message, "must be >= 0");
-}
-
 TEST(CliFlags, HelpListsTheSharedFlagsOnce) {
   util::CliParser cli("test");
   AddScenarioFlags(cli);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 #include <string>
 
 #include "core/policy_factory.h"
@@ -65,19 +66,18 @@ std::vector<Case> AllCases() {
   return cases;
 }
 
-// gtest lists each case followed by a raw byte dump of Case, whose leading
-// bytes are a heap address and so differ from run to run. FCFS, the shortest
-// policy name, is spelled out so that a listing which cuts names short still
-// shows the same name every run.
-std::string CaseLabel(const std::string& policy) {
-  return policy == "FCFS" ? "FCFS_first_come_first_served" : policy;
+std::string CaseSlug(const Case& c) {
+  return c.policy + "_seed" + std::to_string(c.seed);
 }
+
+/// gtest prints the parameter after each listed test name; the slug keeps
+/// those names stable where a raw byte dump of Case would print a pointer.
+void PrintTo(const Case& c, std::ostream* os) { *os << CaseSlug(c); }
 
 INSTANTIATE_TEST_SUITE_P(
     Policies, PolicyWorkloadSweep, ::testing::ValuesIn(AllCases()),
     [](const ::testing::TestParamInfo<Case>& info) {
-      return CaseLabel(info.param.policy) + "_seed" +
-             std::to_string(info.param.seed);
+      return CaseSlug(info.param);
     });
 
 TEST(EndToEnd, IoAwarePoliciesImproveWaitOnEvaluationMonth) {

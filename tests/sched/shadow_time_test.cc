@@ -187,7 +187,6 @@ TEST_P(ShadowTimeSweep, MatchesCopySortReleaseReference) {
                                           *head, at, shadow));
             ++in_pass;
           }
-          return rng.Bernoulli(0.85);
         });
   };
   install_hook();

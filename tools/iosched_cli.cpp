@@ -9,19 +9,17 @@
 //   chaos        seeded chaos soak: randomized fault schedules under every
 //                policy with the invariant checker on
 //
-// Examples:
+// Examples (an indented line continues the command above it):
 //   iosched generate --workload 1 --days 30 --out /tmp/wl1
 //   iosched simulate --swf /tmp/wl1.swf --io /tmp/wl1_io.csv --policy ADAPTIVE
 //   iosched simulate --workload 2 --days 14 --policy MIN_AGGR_SLD
 //   iosched simulate --workload 1 --days 30 --bb-capacity 4000  # with a BB
-//   iosched simulate --workload 1 --policy PREDICTIVE_ADAPTIVE \
-//       --predict learned                            # prediction-aware run
 //   iosched sweep --workload 1 --days 30 --csv
 //   iosched sensitivity --workload 1 --factors 0.3,0.7,1.5
 //   iosched bbsweep --workload 1 --days 30 --bb-capacities 0,2000,8000
-//   iosched simulate --workload 1 --days 365 --checkpoint-dir /tmp/ck \
+//   iosched simulate --workload 1 --days 365 --checkpoint-dir /tmp/ck
 //       --checkpoint-every-wall 60 --watchdog 300   # crash-safe long run
-//   iosched simulate --workload 1 --days 365 --checkpoint-dir /tmp/ck \
+//   iosched simulate --workload 1 --days 365 --checkpoint-dir /tmp/ck
 //       --resume                                    # continue after a crash
 //   iosched sweep --workload 1 --days 30 --state-dir /tmp/sweep  # resumable
 //   iosched chaos --chaos-schedules 50 --chaos-out /tmp/chaos.csv
@@ -93,9 +91,7 @@ int CmdSimulate(const util::CliParser& cli) {
   if (cli.Provided("walltime-kill")) {
     config.enforce_walltime = cli.GetBool("walltime-kill");
   }
-  driver::ApplyPlanFlags(cli, config);
   driver::ApplyBurstBufferFlags(cli, config);
-  driver::ApplyPredictionFlags(cli, config);
 
   config.keep_bandwidth_samples = cli.GetBool("timeline");
   core::EventLog log;
@@ -279,7 +275,6 @@ int CmdSweep(const util::CliParser& cli) {
   driver::Scenario scenario = driver::ScenarioFromFlags(cli);
   driver::ApplyAppCheckpointFlags(cli, scenario);
   driver::ApplyBurstBufferFlags(cli, scenario.config);
-  driver::ApplyPredictionFlags(cli, scenario.config);
   std::vector<std::string> policies = core::AllPolicyNames();
   if (cli.Provided("policies")) {
     policies = util::Split(cli.GetString("policies"), ',');
@@ -442,8 +437,6 @@ int main(int argc, char** argv) {
       "I/O-aware batch scheduling framework (CLUSTER'15 reproduction)");
   driver::AddScenarioFlags(cli);
   driver::AddBurstBufferFlags(cli);
-  driver::AddPredictionFlags(cli);
-  driver::AddPlanFlags(cli);
   driver::AddAppCheckpointFlags(cli);
   cli.AddFlag("seed", "101", "generator seed (generate)");
   cli.AddFlag("out", "workload", "output path stem (generate)");

@@ -4,8 +4,8 @@
 # per-job records byte-identical to an uninterrupted reference run.
 #
 # Two victims are exercised:
-#   * a year-long replay under the prediction-aware policy (covers the
-#     learned predictor's checkpoint section), and
+#   * a year-long replay under ADAPTIVE with a burst buffer (covers the
+#     tier snapshot the policy reads between cycles), and
 #   * a checkpoint-storm run — Young/Daly flush traffic, MTBF failures,
 #     restart-from-checkpoint, deferrable flushes, and a burst buffer — so
 #     the kill lands amid parked flushes, staged-but-not-durable markers,
@@ -77,11 +77,11 @@ run_case() {
 
 # A year-long replay runs for several seconds — a wide window to land the
 # kill in — while the first checkpoint appears within milliseconds. The
-# prediction-aware policy with a learned predictor makes the smoke cover
-# the predictor's checkpoint section too: resuming must restore the EWMA
-# tables exactly or the post-resume schedule (and records) diverge.
-run_case year simulate --workload 1 --days 365 --policy PREDICTIVE_ADAPTIVE \
-    --predict learned
+# burst buffer makes the smoke cover ADAPTIVE's tier snapshot too: resuming
+# must restore the cycle inputs exactly, or the policy's drain-backlog
+# deferrals (and so the records) diverge after the resume.
+run_case year simulate --workload 1 --days 365 --policy ADAPTIVE \
+    --bb-capacity 4096 --bb-drain 50
 
 # Mid-storm kill: a short application MTBF arms the full resilience stack
 # (flush phases, failures, restart-from-checkpoint, 10-minute deferrals)
@@ -89,15 +89,5 @@ run_case year simulate --workload 1 --days 365 --policy PREDICTIVE_ADAPTIVE \
 # the SIGKILL lands.
 run_case storm simulate --workload 1 --days 120 --policy ADAPTIVE \
     --app-ckpt-mtbf 7200 --bb-capacity 8192 --bb-drain 50
-
-# Mid-window kill of a planning policy: event-count checkpoints land the
-# snapshot inside a PLAN_BF planning window essentially always, so the
-# standing reservation table, its absorb promises, and the drain/capacity
-# prices backfill admission uses must all restore bit-exactly — a resumed
-# run that rebuilt its plan instead of restoring it would replan on a
-# different cadence and diverge.
-run_case plan simulate --workload 1 --days 180 --policy PLAN_BF \
-    --predict oracle --bb-capacity 4096 --bb-drain 50 \
-    --plan-window 600 --plan-slice 30
 
 echo "PASS: all kill/resume cases are byte-identical to their references"
