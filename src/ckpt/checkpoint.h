@@ -35,29 +35,9 @@
 #include <utility>
 #include <vector>
 
-namespace iosched::ckpt {
+#include "ckpt/serializer.h"
 
-/// Base class for everything that can go wrong loading a checkpoint.
-class CheckpointError : public std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
-/// Structural damage: bad magic, truncation, missing section.
-class FormatError : public CheckpointError {
-  using CheckpointError::CheckpointError;
-};
-/// File was written by an incompatible format version.
-class VersionError : public CheckpointError {
-  using CheckpointError::CheckpointError;
-};
-/// A section's payload does not match its recorded CRC (bit rot, torn
-/// write that somehow reached the final name, manual tampering).
-class CrcError : public CheckpointError {
-  using CheckpointError::CheckpointError;
-};
-/// The checkpoint was taken under a different configuration or workload.
-class ConfigMismatchError : public CheckpointError {
-  using CheckpointError::CheckpointError;
-};
+namespace iosched::ckpt {
 
 inline constexpr std::string_view kMagic = "IOSCKPT1";
 inline constexpr std::uint32_t kFormatVersion = 6;

@@ -28,15 +28,17 @@ void Writer::Bytes(const void* data, std::size_t size) {
   buffer_.append(static_cast<const char*>(data), size);
 }
 
-Reader::Reader(std::string_view data, std::string context)
-    : data_(data), context_(std::move(context)) {}
+Reader::Reader(std::string_view data, std::string context, Links links)
+    : data_(data), context_(std::move(context)), links_(std::move(links)) {}
+
+void Reader::Fail(const std::string& what) const {
+  throw FormatError("checkpoint " + context_ + ": " + what);
+}
 
 const char* Reader::Take(std::size_t n) {
   if (data_.size() - pos_ < n) {
-    throw std::runtime_error("checkpoint " + context_ +
-                             ": truncated (wanted " + std::to_string(n) +
-                             " bytes at offset " + std::to_string(pos_) +
-                             " of " + std::to_string(data_.size()) + ")");
+    Fail("truncated (wanted " + std::to_string(n) + " bytes at offset " +
+         std::to_string(pos_) + " of " + std::to_string(data_.size()) + ")");
   }
   const char* p = data_.data() + pos_;
   pos_ += n;
@@ -49,10 +51,7 @@ std::uint8_t Reader::U8() {
 
 bool Reader::Bool() {
   std::uint8_t v = U8();
-  if (v > 1) {
-    throw std::runtime_error("checkpoint " + context_ +
-                             ": malformed bool value " + std::to_string(v));
-  }
+  if (v > 1) Fail("malformed bool value " + std::to_string(v));
   return v == 1;
 }
 
@@ -86,11 +85,42 @@ std::string_view Reader::Raw(std::size_t n) {
   return std::string_view(Take(n), n);
 }
 
+void Reader::Size(std::size_t& n) {
+  n = U32();
+  if (n > Remaining()) {
+    Fail("count " + std::to_string(n) + " exceeds the " +
+         std::to_string(Remaining()) + " bytes left");
+  }
+}
+
+void Reader::PendingEvent(std::uint64_t& id) {
+  id = U64();
+  if (id == 0) return;
+  if (!links_.is_pending) {
+    throw std::logic_error("checkpoint " + context_ +
+                           ": reader has no pending-event check");
+  }
+  if (!links_.is_pending(id)) {
+    Fail("event " + std::to_string(id) + " is not pending in the sim section");
+  }
+}
+
+const workload::Job* Reader::FindJob(std::int64_t id) const {
+  if (!links_.find_job) {
+    throw std::logic_error("checkpoint " + context_ +
+                           ": reader has no job lookup");
+  }
+  const workload::Job* job = links_.find_job(id);
+  if (job == nullptr) {
+    Fail("job " + std::to_string(id) + " is not present in the workload");
+  }
+  return job;
+}
+
 void Reader::ExpectEnd() const {
   if (!AtEnd()) {
-    throw std::runtime_error("checkpoint " + context_ + ": " +
-                             std::to_string(Remaining()) +
-                             " unread trailing bytes (layout mismatch)");
+    Fail(std::to_string(Remaining()) +
+         " unread trailing bytes (layout mismatch)");
   }
 }
 

@@ -1,9 +1,10 @@
 // The SimulationConfig field table (util/field_table.h): one row per field
 // of SimulationConfig and its sub-structs. The rows of MachineConfig,
-// BatchScheduler::Options, FaultPlanConfig, TransferRetryConfig and
-// BurstBufferConfig sit next to those structs (machine/machine.h,
-// sched/batch_scheduler.h, faults/fault_plan.h, core/io_scheduler.h,
-// storage/burst_buffer.h), where their other users reach them.
+// StorageConfig, BatchScheduler::Options, FaultPlanConfig,
+// TransferRetryConfig and BurstBufferConfig sit next to those structs
+// (machine/machine.h, storage/storage_model.h, sched/batch_scheduler.h,
+// faults/fault_plan.h, core/io_scheduler.h, storage/burst_buffer.h), where
+// their other users reach them.
 // Sections are visited in the order the hash mixes them (SimulationConfig's
 // own fields fall into three sections to keep that order, and so every
 // recorded hash). Cross-field rules stay in SimulationConfig::Validate.
@@ -27,11 +28,7 @@ void VisitFields(C& c, V& v) {
   machine::VisitFields(c.machine, v);
 
   v.Section("storage.");
-  v(c.storage.max_bandwidth_gbps,
-    {"max_bandwidth_gbps", "storage.bwmax_gbps", kPositive, kSchedule,
-     "file-server bandwidth BWmax (GB/s)"});
-  v(c.storage.enforce_capacity, {"enforce_capacity", nullptr, kAny, kSchedule,
-                                 "throw on grants above BWmax"});
+  storage::VisitFields(c.storage, v);
 
   v.Section("batch.");
   sched::VisitFields(c.batch, v);

@@ -66,24 +66,4 @@ void EventLog::WriteCsv(std::ostream& out) const {
   }
 }
 
-void EventLog::SaveState(ckpt::Writer& w) const {
-  w.U32(static_cast<std::uint32_t>(events_.size()));
-  for (const SchedEvent& e : events_) {
-    w.F64(e.time);
-    w.U8(static_cast<std::uint8_t>(e.kind));
-    w.I64(e.job);
-    w.F64(e.detail);
-  }
-}
-
-void EventLog::RestoreState(ckpt::Reader& r) {
-  events_.resize(r.U32());
-  for (SchedEvent& e : events_) {
-    e.time = r.F64();
-    e.kind = static_cast<SchedEventKind>(r.U8());
-    e.job = r.I64();
-    e.detail = r.F64();
-  }
-}
-
 }  // namespace iosched::core

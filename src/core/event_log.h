@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "ckpt/serializer.h"
 #include "sim/time.h"
 #include "workload/job.h"
 
@@ -27,6 +26,8 @@ enum class SchedEventKind {
   kFaultKill,   // job killed by fault injection (detail = retries so far)
   kRequeue,     // killed job re-queued (detail = backoff eligible time)
   kAbandon,     // retry budget exhausted; job permanently failed
+  // Serialized as one byte (EventLog::Serialize): append new kinds after
+  // kAbandon and move the bound there.
 };
 
 const char* ToString(SchedEventKind kind);
@@ -75,9 +76,16 @@ class EventLog : public SchedEventSink {
   /// CSV: time,kind,job,detail — rows in Sorted() order.
   void WriteCsv(std::ostream& out) const;
 
-  /// Serialize the accumulated event stream (insertion order).
-  void SaveState(ckpt::Writer& w) const;
-  void RestoreState(ckpt::Reader& r);
+  /// Save or load the accumulated event stream (insertion order).
+  template <class Ar>
+  void Serialize(Ar& ar) {
+    ar.Seq(events_, [&ar](SchedEvent& e) {
+      ar.F64(e.time);
+      ar.Enum(e.kind, SchedEventKind::kAbandon);
+      ar.I64(e.job);
+      ar.F64(e.detail);
+    });
+  }
 
  private:
   std::vector<SchedEvent> events_;

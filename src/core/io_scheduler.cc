@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "ckpt/serializer.h"
 #include "obs/hub.h"
 #include "util/units.h"
 
@@ -650,214 +651,103 @@ void IoScheduler::OnDrainFactorChange(double factor, sim::SimTime now) {
   Reschedule(now);
 }
 
-void IoScheduler::SaveState(ckpt::Writer& w) const {
+template <class Ar>
+void IoScheduler::Serialize(Ar& ar) {
   std::vector<workload::JobId> ids;
-  jobs_.SortedIds(ids);
-  w.U32(static_cast<std::uint32_t>(ids.size()));
-  for (workload::JobId id : ids) {
-    const JobContext& ctx = *jobs_.Find(id);
-    w.I64(id);
-    w.F64(ctx.start_time);
-    w.F64(ctx.completed_compute_seconds);
-    w.F64(ctx.completed_io_seconds);
+  if constexpr (Ar::kLoading) {
+    jobs_.Clear();
+  } else {
+    jobs_.SortedIds(ids);
   }
-  w.U64(pending_event_);
-  w.U64(drain_event_);
-  w.U64(cycles_);
-  w.U64(submitted_requests_);
-  w.Bool(congested_);
-  w.F64(congestion_start_);
-  w.Bool(bb_congested_);
-  w.F64(bb_congestion_start_);
-  ids.clear();
-  ids.reserve(absorbed_events_.size());
-  for (const auto& [id, _] : absorbed_events_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  w.U32(static_cast<std::uint32_t>(ids.size()));
-  for (workload::JobId id : ids) {
-    const AbsorbedEvent& ab = absorbed_events_.at(id);
-    w.I64(id);
-    w.U64(ab.event);
-    w.F64(ab.volume_gb);
-    w.F64(ab.durable_gb);
-  }
+  ar.Seq(ids, [this, &ar](workload::JobId& id) {
+    ar.I64(id);
+    JobContext loaded;
+    JobContext& ctx = Ar::kLoading ? loaded : *jobs_.Find(id);
+    if constexpr (Ar::kLoading) ctx.job = ar.FindJob(id);
+    ar.F64(ctx.start_time);
+    ar.F64(ctx.completed_compute_seconds);
+    ar.F64(ctx.completed_io_seconds);
+    if constexpr (Ar::kLoading) jobs_.Add(id, ctx);
+  });
+  ar.PendingEvent(pending_event_);
+  ar.PendingEvent(drain_event_);
+  ar.U64(cycles_);
+  ar.U64(submitted_requests_);
+  ar.Bool(congested_);
+  ar.F64(congestion_start_);
+  ar.Bool(bb_congested_);
+  ar.F64(bb_congestion_start_);
+  ar.SortedMap(absorbed_events_,
+               [&ar](workload::JobId, AbsorbedEvent& ab) {
+                 ar.PendingEvent(ab.event);
+                 ar.F64(ab.volume_gb);
+                 ar.F64(ab.durable_gb);
+               });
   // Deadline/retry state (appended so the layout above is unchanged).
-  util::Rng::State jitter = jitter_rng_.SaveState();
-  w.U64(jitter.engine.state);
-  w.U64(jitter.engine.inc);
-  w.Bool(jitter.has_spare);
-  w.F64(jitter.spare);
-  ids.clear();
-  ids.reserve(deadline_events_.size());
-  for (const auto& [id, _] : deadline_events_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  w.U32(static_cast<std::uint32_t>(ids.size()));
-  for (workload::JobId id : ids) {
-    const DeadlineEvent& dl = deadline_events_.at(id);
-    w.I64(id);
-    w.U64(dl.event);
-    w.I64(dl.retries);
-  }
-  ids.clear();
-  ids.reserve(pending_retries_.size());
-  for (const auto& [id, _] : pending_retries_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  w.U32(static_cast<std::uint32_t>(ids.size()));
-  for (workload::JobId id : ids) {
-    const PendingRetry& pr = pending_retries_.at(id);
-    w.I64(id);
-    w.U64(pr.event);
-    w.F64(pr.remaining_gb);
-    w.I64(pr.retries);
-  }
-  w.U64(transfer_timeouts_);
-  w.U64(transfer_retries_);
-  w.U64(straggler_spills_);
-  w.U64(reflushed_requests_);
+  ar.Rng(jitter_rng_);
+  ar.SortedMap(deadline_events_,
+               [&ar](workload::JobId, DeadlineEvent& dl) {
+                 ar.PendingEvent(dl.event);
+                 ar.I64(dl.retries);
+               });
+  ar.SortedMap(pending_retries_, [&ar](workload::JobId, PendingRetry& pr) {
+    ar.PendingEvent(pr.event);
+    ar.F64(pr.remaining_gb);
+    ar.I64(pr.retries);
+  });
+  ar.U64(transfer_timeouts_);
+  ar.U64(transfer_retries_);
+  ar.U64(straggler_spills_);
+  ar.U64(reflushed_requests_);
   // The cycle-input snapshot outlives its cycle: policies read it between
   // cycles (ADAPTIVE's DeferFlush runs from SubmitRequest), so a resume
   // must see the same tiers and flush backlog.
-  const TierState& tiers = cycle_inputs_.tiers;
-  w.Bool(tiers.bb_enabled);
-  w.F64(tiers.bb_capacity_gb);
-  w.F64(tiers.bb_queued_gb);
-  w.F64(tiers.drain_gbps);
-  w.Bool(tiers.bb_faulted);
-  w.F64(tiers.drain_factor);
-  w.F64(cycle_inputs_.flush_backlog_gb);
-  w.U64(cycle_inputs_.flush_backlog_count);
+  TierState& tiers = cycle_inputs_.tiers;
+  ar.Bool(tiers.bb_enabled);
+  ar.F64(tiers.bb_capacity_gb);
+  ar.F64(tiers.bb_queued_gb);
+  ar.F64(tiers.drain_gbps);
+  ar.Bool(tiers.bb_faulted);
+  ar.F64(tiers.drain_factor);
+  ar.F64(cycle_inputs_.flush_backlog_gb);
+  ar.U64(cycle_inputs_.flush_backlog_count);
   // Deferred-flush state (appended, gated on the feature so checkpoint
   // streams from flush-unaware runs stay byte-stable).
-  w.Bool(flush_config_.enabled);
-  if (flush_config_.enabled) {
-    w.U32(static_cast<std::uint32_t>(deferred_flushes_.size()));
+  bool flush_enabled = flush_config_.enabled;
+  ar.Bool(flush_enabled);
+  if (flush_enabled) {
+    ar.SortedMap(deferred_flushes_,
+                 [&ar](workload::JobId, DeferredFlush& df) {
+                   ar.PendingEvent(df.event);
+                   ar.F64(df.fire_time);
+                   ar.F64(df.submit_time);
+                   ar.F64(df.volume_gb);
+                 });
+    ar.U64(flush_deferrals_);
+    ar.U64(forced_flush_releases_);
+  }
+  if constexpr (Ar::kLoading) {
+    deferred_backlog_gb_ = 0.0;
     for (const auto& [id, df] : deferred_flushes_) {
-      w.I64(id);
-      w.U64(df.event);
-      w.F64(df.fire_time);
-      w.F64(df.submit_time);
-      w.F64(df.volume_gb);
-    }
-    w.U64(flush_deferrals_);
-    w.U64(forced_flush_releases_);
-  }
-}
-
-void IoScheduler::RestoreState(
-    ckpt::Reader& r,
-    const std::function<const workload::Job*(workload::JobId)>& resolve) {
-  jobs_.Clear();
-  absorbed_events_.clear();
-  deadline_events_.clear();
-  pending_retries_.clear();
-  deferred_flushes_.clear();
-  deferred_backlog_gb_ = 0.0;
-  std::uint32_t job_count = r.U32();
-  for (std::uint32_t i = 0; i < job_count; ++i) {
-    workload::JobId id = r.I64();
-    const workload::Job* job = resolve(id);
-    if (job == nullptr) {
-      throw std::runtime_error(
-          "IoScheduler::RestoreState: checkpoint references job " +
-          std::to_string(id) + " absent from the workload");
-    }
-    JobContext ctx;
-    ctx.job = job;
-    ctx.start_time = r.F64();
-    ctx.completed_compute_seconds = r.F64();
-    ctx.completed_io_seconds = r.F64();
-    jobs_.Add(id, ctx);
-  }
-  // Every saved event id must name an event the simulator restored.
-  auto pending = [this](sim::EventId id) {
-    simulator_.RequirePending(id, "iosched");
-    return id;
-  };
-  pending_event_ = pending(r.U64());
-  drain_event_ = pending(r.U64());
-  cycles_ = r.U64();
-  submitted_requests_ = r.U64();
-  congested_ = r.Bool();
-  congestion_start_ = r.F64();
-  bb_congested_ = r.Bool();
-  bb_congestion_start_ = r.F64();
-  std::uint32_t absorbed = r.U32();
-  for (std::uint32_t i = 0; i < absorbed; ++i) {
-    workload::JobId id = r.I64();
-    AbsorbedEvent ab;
-    ab.event = pending(r.U64());
-    ab.volume_gb = r.F64();
-    ab.durable_gb = r.F64();
-    absorbed_events_.emplace(id, ab);
-  }
-  util::Rng::State jitter;
-  jitter.engine.state = r.U64();
-  jitter.engine.inc = r.U64();
-  jitter.has_spare = r.Bool();
-  jitter.spare = r.F64();
-  jitter_rng_.RestoreState(jitter);
-  std::uint32_t deadlines = r.U32();
-  for (std::uint32_t i = 0; i < deadlines; ++i) {
-    workload::JobId id = r.I64();
-    DeadlineEvent dl;
-    dl.event = pending(r.U64());
-    dl.retries = static_cast<int>(r.I64());
-    deadline_events_.emplace(id, dl);
-  }
-  std::uint32_t retries = r.U32();
-  for (std::uint32_t i = 0; i < retries; ++i) {
-    workload::JobId id = r.I64();
-    PendingRetry pr;
-    pr.event = pending(r.U64());
-    pr.remaining_gb = r.F64();
-    pr.retries = static_cast<int>(r.I64());
-    pending_retries_.emplace(id, pr);
-  }
-  transfer_timeouts_ = r.U64();
-  transfer_retries_ = r.U64();
-  straggler_spills_ = r.U64();
-  reflushed_requests_ = r.U64();
-  TierState& tiers = cycle_inputs_.tiers;
-  tiers.bb_enabled = r.Bool();
-  tiers.bb_capacity_gb = r.F64();
-  tiers.bb_queued_gb = r.F64();
-  tiers.drain_gbps = r.F64();
-  tiers.bb_faulted = r.Bool();
-  tiers.drain_factor = r.F64();
-  cycle_inputs_.flush_backlog_gb = r.F64();
-  cycle_inputs_.flush_backlog_count = static_cast<std::size_t>(r.U64());
-  if (r.Bool()) {
-    std::uint32_t deferred = r.U32();
-    for (std::uint32_t i = 0; i < deferred; ++i) {
-      workload::JobId id = r.I64();
-      DeferredFlush df;
-      df.event = pending(r.U64());
-      df.fire_time = r.F64();
-      df.submit_time = r.F64();
-      df.volume_gb = r.F64();
-      deferred_flushes_.emplace(id, df);
       deferred_backlog_gb_ += df.volume_gb;
     }
-    flush_deferrals_ = r.U64();
-    forced_flush_releases_ = r.U64();
-  }
-  // User slots are runtime-only (not serialized); relink every restored
-  // transfer to its owner's JobStore slot. The engine restores the storage
-  // model before this component, so the transfers are already in place.
-  {
+    // User slots are runtime-only (not serialized); relink every restored
+    // transfer to its owner's JobStore slot. The engine restores the
+    // storage model before this component, so the transfers are already in
+    // place.
     const storage::StorageModel::ActiveColumns cols = storage_.Columns();
-    for (std::size_t slot = 0; slot < cols.job_ids.size(); ++slot) {
-      workload::JobId id = cols.job_ids[slot];
+    for (workload::JobId id : cols.job_ids) {
       std::uint32_t user = jobs_.SlotOf(id);
       if (user == JobStore::kInvalidSlot) {
-        throw std::runtime_error(
-            "IoScheduler::RestoreState: transfer for job " +
-            std::to_string(id) + " has no registered context");
+        ar.Fail("transfer for job " + std::to_string(id) +
+                " has no registered context");
       }
       storage_.SetUserSlot(id, user);
     }
   }
 }
+template void IoScheduler::Serialize(ckpt::Writer&);
+template void IoScheduler::Serialize(ckpt::Reader&);
 
 void IoScheduler::OnCompletionEvent() {
   pending_event_ = 0;

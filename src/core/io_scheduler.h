@@ -18,7 +18,6 @@
 #include <memory>
 #include <unordered_map>
 
-#include "ckpt/serializer.h"
 #include "core/io_policy.h"
 #include "core/job_store.h"
 #include "metrics/bandwidth.h"
@@ -269,18 +268,15 @@ class IoScheduler : private sim::EventHandler {
   /// Build the policy view of the active set at `now` (exposed for tests).
   std::vector<IoJobView> BuildViews(sim::SimTime now) const;
 
-  /// Serialize per-job accounting, cycle counters, congestion-span state,
-  /// and the ids of the scheduler's pending events (the events themselves
-  /// are in the simulator's state). The storage model saves its own
-  /// transfer set.
-  void SaveState(ckpt::Writer& w) const;
-  /// Restore onto a freshly built scheduler, after the simulator restored
-  /// its pending events; `resolve` maps job ids back to workload entries
-  /// (must cover every saved id). Throws ckpt::FormatError for a saved
-  /// event id that is not pending.
-  void RestoreState(
-      ckpt::Reader& r,
-      const std::function<const workload::Job*(workload::JobId)>& resolve);
+  /// Save or load per-job accounting, cycle counters, congestion-span
+  /// state, and the ids of the scheduler's pending events (the events
+  /// themselves are in the simulator's state). The storage model saves its
+  /// own transfer set. Load onto a freshly built scheduler, after the
+  /// simulator and the storage model: job ids resolve through the reader's
+  /// job lookup, and a saved event id that is not pending throws
+  /// ckpt::FormatError.
+  template <class Ar>
+  void Serialize(Ar& ar);
 
  private:
   /// The scheduler's event kinds (sim::Event::kind under kEventOwner).

@@ -841,234 +841,131 @@ class Engine : private sim::EventHandler {
     return &jobs_[it->second];
   }
 
+  /// Every checkpoint section in file order: its name, whether this run
+  /// holds the state, whether it is report-only, and the one description
+  /// that saves and loads it. Report-only state (a kept bandwidth series,
+  /// the event log) is outside the config hash, so a file may hold it or
+  /// not whatever the resuming run keeps; every other section is in a file
+  /// exactly when the run holds it.
+  template <class Fn>
+  void ForEachSection(Fn&& section) {
+    const bool kState = false;
+    const bool kReport = true;
+    section("sim", true, kState,
+            [this](auto& ar) { simulator_.Serialize(ar); });
+    section("machine", true, kState,
+            [this](auto& ar) { machine_.Serialize(ar); });
+    section("storage", true, kState,
+            [this](auto& ar) { storage_.Serialize(ar); });
+    section("burst_buffer", burst_buffer_ != nullptr, kState,
+            [this](auto& ar) { burst_buffer_->Serialize(ar); });
+    section("batch", true, kState, [this](auto& ar) { batch_.Serialize(ar); });
+    section("iosched", true, kState,
+            [this](auto& ar) { io_scheduler_.Serialize(ar); });
+    section("engine", true, kState,
+            [this](auto& ar) { SerializeEngine(ar); });
+    section("faults", injector_.has_value(), kState,
+            [this](auto& ar) { injector_->Serialize(ar); });
+    section("fault_stats", true, kState,
+            [this](auto& ar) { fault_stats_.Serialize(ar); });
+    section("utilization", true, kState,
+            [this](auto& ar) { utilization_.Serialize(ar); });
+    section("bandwidth", true, kState,
+            [this](auto& ar) { bandwidth_tracker_.Serialize(ar); });
+    section("bandwidth_samples", bandwidth_tracker_.keeps_samples(), kReport,
+            [this](auto& ar) { bandwidth_tracker_.SerializeSamples(ar); });
+    section("event_log", event_log_ != nullptr, kReport,
+            [this](auto& ar) { event_log_->Serialize(ar); });
+  }
+
   ckpt::CheckpointFile BuildCheckpoint() {
     ckpt::CheckpointFile file;
     file.SetConfigHash(ConfigHash());
-    {
+    ForEachSection([&file](const char* name, bool held, bool /*report*/,
+                           auto serialize) {
+      if (!held) return;
       ckpt::Writer w;
-      simulator_.SaveState(w);
-      file.AddSection("sim", w.TakeBuffer());
-    }
-    {
-      ckpt::Writer w;
-      machine_.SaveState(w);
-      file.AddSection("machine", w.TakeBuffer());
-    }
-    {
-      ckpt::Writer w;
-      storage_.SaveState(w);
-      file.AddSection("storage", w.TakeBuffer());
-    }
-    if (burst_buffer_ != nullptr) {
-      ckpt::Writer w;
-      burst_buffer_->SaveState(w);
-      file.AddSection("burst_buffer", w.TakeBuffer());
-    }
-    {
-      ckpt::Writer w;
-      batch_.SaveState(w);
-      file.AddSection("batch", w.TakeBuffer());
-    }
-    {
-      ckpt::Writer w;
-      io_scheduler_.SaveState(w);
-      file.AddSection("iosched", w.TakeBuffer());
-    }
-    {
-      ckpt::Writer w;
-      SaveEngineSection(w);
-      file.AddSection("engine", w.TakeBuffer());
-    }
-    if (injector_.has_value()) {
-      ckpt::Writer w;
-      injector_->SaveState(w);
-      file.AddSection("faults", w.TakeBuffer());
-    }
-    {
-      ckpt::Writer w;
-      fault_stats_.SaveState(w);
-      file.AddSection("fault_stats", w.TakeBuffer());
-    }
-    {
-      ckpt::Writer w;
-      utilization_.SaveState(w);
-      file.AddSection("utilization", w.TakeBuffer());
-    }
-    {
-      ckpt::Writer w;
-      bandwidth_tracker_.SaveState(w);
-      file.AddSection("bandwidth", w.TakeBuffer());
-    }
-    if (bandwidth_tracker_.keeps_samples()) {
-      ckpt::Writer w;
-      bandwidth_tracker_.SaveSamples(w);
-      file.AddSection("bandwidth_samples", w.TakeBuffer());
-    }
-    if (event_log_ != nullptr) {
-      ckpt::Writer w;
-      event_log_->SaveState(w);
-      file.AddSection("event_log", w.TakeBuffer());
-    }
+      serialize(w);
+      file.AddSection(name, w.TakeBuffer());
+    });
     return file;
   }
 
-  void SaveEngineSection(ckpt::Writer& w) {
-    // Running jobs, sorted by id for deterministic bytes.
-    std::vector<workload::JobId> ids;
-    ids.reserve(running_.size());
-    for (const auto& [id, state] : running_) ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
-    w.U32(static_cast<std::uint32_t>(ids.size()));
-    for (workload::JobId id : ids) {
-      const ExecState& s = running_.at(id);
-      w.I64(id);
-      w.I64(s.partition.first_midplane);
-      w.I64(s.partition.midplane_count);
-      w.I64(s.partition.nodes);
-      w.F64(s.start_time);
-      w.U64(s.next_phase);
-      w.F64(s.io_request_start);
-      w.F64(s.io_time_actual);
-      w.Bool(s.in_io);
-      w.U64(s.kill_event);
-      w.U64(s.compute_event);
-      w.U64(s.durable_phase);
-      w.F64(s.durable_anchor_time);
-      w.I64(s.flush_count);
-      w.U32(static_cast<std::uint32_t>(s.pending_durables.size()));
-      for (const DurableMarker& m : s.pending_durables) {
-        w.U64(m.resume_phase);
-        w.F64(m.completion_time);
-        w.F64(m.threshold_gb);
-      }
-    }
-    // Retry contexts.
-    ids.clear();
-    for (const auto& [id, rc] : retry_) ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
-    w.U32(static_cast<std::uint32_t>(ids.size()));
-    for (workload::JobId id : ids) {
-      const RetryContext& rc = retry_.at(id);
-      w.I64(id);
-      w.I64(rc.failures);
-      w.F64(rc.lost_seconds);
-      w.U64(rc.resume_phase);
-      w.I64(rc.flush_count);
-      w.F64(rc.rework_seconds);
-    }
+  template <class Ar>
+  void SerializeEngine(Ar& ar) {
+    // Running jobs and retry contexts, sorted by id for deterministic
+    // bytes.
+    ar.SortedMap(running_, [&ar](workload::JobId id, ExecState& s) {
+      if constexpr (Ar::kLoading) s.job = ar.FindJob(id);
+      ar.I64(s.partition.first_midplane);
+      ar.I64(s.partition.midplane_count);
+      ar.I64(s.partition.nodes);
+      ar.F64(s.start_time);
+      ar.U64(s.next_phase);
+      ar.F64(s.io_request_start);
+      ar.F64(s.io_time_actual);
+      ar.Bool(s.in_io);
+      ar.PendingEvent(s.kill_event);
+      ar.PendingEvent(s.compute_event);
+      ar.U64(s.durable_phase);
+      ar.F64(s.durable_anchor_time);
+      ar.I64(s.flush_count);
+      ar.Seq(s.pending_durables, [&ar](DurableMarker& m) {
+        ar.U64(m.resume_phase);
+        ar.F64(m.completion_time);
+        ar.F64(m.threshold_gb);
+      });
+    });
+    ar.SortedMap(retry_, [&ar](workload::JobId, RetryContext& rc) {
+      ar.I64(rc.failures);
+      ar.F64(rc.lost_seconds);
+      ar.U64(rc.resume_phase);
+      ar.I64(rc.flush_count);
+      ar.F64(rc.rework_seconds);
+    });
     // Finished-job records, in completion order (sorted by id only at the
     // end of Run, so the order must be preserved across a resume). Only the
-    // run-dependent fields: restore rebuilds the rest with StaticRecord.
-    w.U32(static_cast<std::uint32_t>(records_.size()));
-    for (const metrics::JobRecord& r : records_) {
-      w.I64(r.id);
-      w.I64(r.allocated_nodes);
-      w.F64(r.start_time);
-      w.F64(r.end_time);
-      w.F64(r.io_time_actual);
-      w.Bool(r.killed);
-      w.I64(r.attempts);
-      w.Bool(r.abandoned);
-      w.F64(r.lost_seconds);
-      w.I64(r.flush_count);
-      w.F64(r.rework_seconds);
-    }
+    // run-dependent fields: a load rebuilds the rest with StaticRecord.
+    if constexpr (Ar::kLoading) records_.reserve(jobs_.size());
+    ar.Seq(records_, [this, &ar](metrics::JobRecord& rec) {
+      ar.I64(rec.id);
+      if constexpr (Ar::kLoading) rec = StaticRecord(*ar.FindJob(rec.id));
+      ar.I64(rec.allocated_nodes);
+      ar.F64(rec.start_time);
+      ar.F64(rec.end_time);
+      ar.F64(rec.io_time_actual);
+      ar.Bool(rec.killed);
+      ar.I64(rec.attempts);
+      ar.Bool(rec.abandoned);
+      ar.F64(rec.lost_seconds);
+      ar.I64(rec.flush_count);
+      ar.F64(rec.rework_seconds);
+    });
     // Arrival cursor: the rest of the arrivals follow from the workload.
-    w.U64(first_arrival_id_);
-    w.U64(next_arrival_);
-  }
-
-  void RestoreEngineSection(ckpt::Reader& r) {
-    auto must_resolve = [this](workload::JobId id) -> const workload::Job* {
-      const workload::Job* job = FindJob(id);
-      if (job == nullptr) {
-        throw std::runtime_error(
-            "checkpoint engine: job " + std::to_string(id) +
-            " not present in the workload");
+    ar.U64(first_arrival_id_);
+    ar.U64(next_arrival_);
+    if constexpr (Ar::kLoading) {
+      if (next_arrival_ > jobs_.size()) {
+        ar.Fail("arrival cursor " + std::to_string(next_arrival_) +
+                " is past the workload's " + std::to_string(jobs_.size()) +
+                " jobs");
       }
-      return job;
-    };
-    std::uint32_t n = r.U32();
-    for (std::uint32_t i = 0; i < n; ++i) {
-      workload::JobId id = r.I64();
-      ExecState s;
-      s.job = must_resolve(id);
-      s.partition.first_midplane = static_cast<int>(r.I64());
-      s.partition.midplane_count = static_cast<int>(r.I64());
-      s.partition.nodes = static_cast<int>(r.I64());
-      s.start_time = r.F64();
-      s.next_phase = static_cast<std::size_t>(r.U64());
-      s.io_request_start = r.F64();
-      s.io_time_actual = r.F64();
-      s.in_io = r.Bool();
-      s.kill_event = r.U64();
-      s.compute_event = r.U64();
-      simulator_.RequirePending(s.kill_event, "engine");
-      simulator_.RequirePending(s.compute_event, "engine");
-      s.durable_phase = static_cast<std::size_t>(r.U64());
-      s.durable_anchor_time = r.F64();
-      s.flush_count = static_cast<int>(r.I64());
-      std::uint32_t markers = r.U32();
-      s.pending_durables.reserve(markers);
-      for (std::uint32_t m = 0; m < markers; ++m) {
-        DurableMarker marker;
-        marker.resume_phase = static_cast<std::size_t>(r.U64());
-        marker.completion_time = r.F64();
-        marker.threshold_gb = r.F64();
-        s.pending_durables.push_back(marker);
+      // The simulator restored the armed arrival: it must be the cursor's.
+      BuildArrivalOrder();
+      if (next_arrival_ < arrival_order_.size()) {
+        simulator_.RequirePending(
+            first_arrival_id_ + arrival_order_[next_arrival_],
+            "engine arrival");
       }
-      running_.emplace(id, s);
-    }
-    n = r.U32();
-    for (std::uint32_t i = 0; i < n; ++i) {
-      workload::JobId id = r.I64();
-      RetryContext rc;
-      rc.failures = static_cast<int>(r.I64());
-      rc.lost_seconds = r.F64();
-      rc.resume_phase = static_cast<std::size_t>(r.U64());
-      rc.flush_count = static_cast<int>(r.I64());
-      rc.rework_seconds = r.F64();
-      retry_.emplace(id, rc);
-    }
-    n = r.U32();
-    records_.reserve(std::max<std::size_t>(n, jobs_.size()));
-    for (std::uint32_t i = 0; i < n; ++i) {
-      metrics::JobRecord rec = StaticRecord(*must_resolve(r.I64()));
-      rec.allocated_nodes = static_cast<int>(r.I64());
-      rec.start_time = r.F64();
-      rec.end_time = r.F64();
-      rec.io_time_actual = r.F64();
-      rec.killed = r.Bool();
-      rec.attempts = static_cast<int>(r.I64());
-      rec.abandoned = r.Bool();
-      rec.lost_seconds = r.F64();
-      rec.flush_count = static_cast<int>(r.I64());
-      rec.rework_seconds = r.F64();
-      records_.push_back(rec);
-    }
-    first_arrival_id_ = r.U64();
-    next_arrival_ = r.U64();
-    if (next_arrival_ > jobs_.size()) {
-      throw std::runtime_error(
-          "checkpoint engine: arrival cursor " +
-          std::to_string(next_arrival_) + " is past the workload's " +
-          std::to_string(jobs_.size()) + " jobs");
-    }
-    r.ExpectEnd();
-    // The simulator restored the armed arrival: it must be the cursor's.
-    BuildArrivalOrder();
-    if (next_arrival_ < arrival_order_.size()) {
-      simulator_.RequirePending(
-          first_arrival_id_ + arrival_order_[next_arrival_], "engine arrival");
-    }
-    const bool sampling =
-        hub_ != nullptr && hub_->options().sample_dt_seconds > 0;
-    for (const sim::Event& e : simulator_.PendingEvents()) {
-      if (e.owner == kEventOwner && e.kind == kSampleTick && !sampling) {
-        throw ckpt::ConfigMismatchError(
-            "checkpoint engine: a sampler tick is pending but the resumed "
-            "run has no sampler (pass a hub built from the same obs "
-            "options)");
+      const bool sampling =
+          hub_ != nullptr && hub_->options().sample_dt_seconds > 0;
+      for (const sim::Event& e : simulator_.PendingEvents()) {
+        if (e.owner == kEventOwner && e.kind == kSampleTick && !sampling) {
+          throw ckpt::ConfigMismatchError(
+              "checkpoint engine: a sampler tick is pending but the resumed "
+              "run has no sampler (pass a hub built from the same obs "
+              "options)");
+        }
       }
     }
   }
@@ -1088,88 +985,34 @@ class Engine : private sim::EventHandler {
           ": configuration/workload hash mismatch (the file was written "
           "under a different run setup)");
     }
-    if (file.HasSection("burst_buffer") != (burst_buffer_ != nullptr)) {
-      throw ckpt::ConfigMismatchError(
-          "checkpoint " + context + ": burst-buffer presence mismatch");
-    }
-    if (file.HasSection("faults") != injector_.has_value()) {
-      throw ckpt::ConfigMismatchError(
-          "checkpoint " + context + ": fault-injection presence mismatch");
-    }
-    // keep_bandwidth_samples is report-only (outside the config hash), so a
-    // file saved without the series can meet a run that wants it. Resuming
-    // would return a series missing everything before the checkpoint.
+    ForEachSection([&](const char* name, bool held, bool report, auto) {
+      if (!held && !report && file.HasSection(name)) {
+        throw ckpt::ConfigMismatchError(
+            "checkpoint " + context + ": the file holds section '" + name +
+            "', which this run does not");
+      }
+    });
+    const ckpt::Reader::Links links{
+        [this](std::int64_t id) { return FindJob(id); },
+        [this](std::uint64_t id) { return simulator_.IsPending(id); }};
+    ForEachSection(
+        [&](const char* name, bool held, bool report, auto serialize) {
+          if (!held || (report && !file.HasSection(name))) return;
+          ckpt::Reader r(file.Section(name), name, links);
+          serialize(r);
+          r.ExpectEnd();
+        });
+    // keep_bandwidth_samples is report-only, so a file saved without the
+    // series can meet a run that wants it. Resuming would return a series
+    // missing everything before the checkpoint. (An event log, output
+    // only, may resume from a file saved without one.)
     if (bandwidth_tracker_.keeps_samples() &&
-        !file.HasSection("bandwidth_samples")) {
+        bandwidth_tracker_.samples().size() !=
+            bandwidth_tracker_.sample_count()) {
       throw ckpt::ConfigMismatchError(
           "checkpoint " + context +
           ": keep_bandwidth_samples is set but the file was saved without "
-          "the bandwidth_samples section");
-    }
-    {
-      ckpt::Reader r(file.Section("sim"), "sim");
-      simulator_.RestoreState(r);
-      r.ExpectEnd();
-    }
-    {
-      ckpt::Reader r(file.Section("machine"), "machine");
-      machine_.RestoreState(r);
-      r.ExpectEnd();
-    }
-    {
-      ckpt::Reader r(file.Section("storage"), "storage");
-      storage_.RestoreState(r);
-      r.ExpectEnd();
-    }
-    if (burst_buffer_ != nullptr) {
-      ckpt::Reader r(file.Section("burst_buffer"), "burst_buffer");
-      burst_buffer_->RestoreState(r);
-      r.ExpectEnd();
-    }
-    auto resolve = [this](workload::JobId id) { return FindJob(id); };
-    {
-      ckpt::Reader r(file.Section("batch"), "batch");
-      batch_.RestoreState(r, resolve);
-      r.ExpectEnd();
-    }
-    {
-      ckpt::Reader r(file.Section("iosched"), "iosched");
-      io_scheduler_.RestoreState(r, resolve);
-      r.ExpectEnd();
-    }
-    {
-      ckpt::Reader r(file.Section("engine"), "engine");
-      RestoreEngineSection(r);
-    }
-    if (injector_.has_value()) {
-      ckpt::Reader r(file.Section("faults"), "faults");
-      injector_->RestoreState(r);
-      r.ExpectEnd();
-    }
-    {
-      ckpt::Reader r(file.Section("fault_stats"), "fault_stats");
-      fault_stats_.RestoreState(r);
-      r.ExpectEnd();
-    }
-    {
-      ckpt::Reader r(file.Section("utilization"), "utilization");
-      utilization_.RestoreState(r);
-      r.ExpectEnd();
-    }
-    {
-      ckpt::Reader r(file.Section("bandwidth"), "bandwidth");
-      bandwidth_tracker_.RestoreState(r);
-      r.ExpectEnd();
-    }
-    if (bandwidth_tracker_.keeps_samples()) {
-      ckpt::Reader r(file.Section("bandwidth_samples"), "bandwidth_samples");
-      bandwidth_tracker_.RestoreSamples(r);
-      r.ExpectEnd();
-    }
-    if (event_log_ != nullptr && file.HasSection("event_log")) {
-      ckpt::Reader r(file.Section("event_log"), "event_log");
-      event_log_->RestoreState(r);
-      r.ExpectEnd();
+          "the bandwidth series");
     }
     restored_ = true;
     resumed_from_ = context;

@@ -7,7 +7,7 @@
 #include <utility>
 #include <vector>
 
-#include "ckpt/checkpoint.h"
+#include "ckpt/serializer.h"
 
 namespace iosched::faults {
 
@@ -315,139 +315,45 @@ void FaultInjector::FinalizeStats(sim::SimTime end) {
   AccrueDegradedTime(std::max(end, last_factor_change_));
 }
 
-void FaultInjector::SaveState(ckpt::Writer& w) const {
-  w.Bool(armed_);
-  util::Rng::State rng = kill_rng_.SaveState();
-  w.U64(rng.engine.state);
-  w.U64(rng.engine.inc);
-  w.Bool(rng.has_spare);
-  w.F64(rng.spare);
-  w.F64(current_factor_);
-  w.F64(last_factor_change_);
-  // Maps are serialized sorted so checkpoint bytes are deterministic.
-  std::vector<std::pair<double, int>> factors(active_factors_.begin(),
-                                              active_factors_.end());
-  std::sort(factors.begin(), factors.end());
-  w.U32(static_cast<std::uint32_t>(factors.size()));
-  for (const auto& [factor, count] : factors) {
-    w.F64(factor);
-    w.I64(count);
+template <class Ar>
+void FaultInjector::Serialize(Ar& ar) {
+  if constexpr (Ar::kLoading) {
+    if (armed_) throw std::logic_error("FaultInjector::Serialize after Arm()");
   }
-  std::vector<std::pair<int, int>> outages(active_outages_.begin(),
-                                           active_outages_.end());
-  std::sort(outages.begin(), outages.end());
-  w.U32(static_cast<std::uint32_t>(outages.size()));
-  for (const auto& [midplane, count] : outages) {
-    w.I64(midplane);
-    w.I64(count);
-  }
-  std::vector<std::pair<workload::JobId, sim::EventId>> kills(
-      pending_kills_.begin(), pending_kills_.end());
-  std::sort(kills.begin(), kills.end());
-  w.U32(static_cast<std::uint32_t>(kills.size()));
-  for (const auto& [id, event] : kills) {
-    w.I64(id);
-    w.U64(event);
-  }
+  const auto count = [&ar](auto, int& n) { ar.I64(n); };
+  const auto event = [&ar](workload::JobId, sim::EventId& e) {
+    ar.PendingEvent(e);
+  };
+  ar.Bool(armed_);
+  ar.Rng(kill_rng_);
+  ar.F64(current_factor_);
+  ar.F64(last_factor_change_);
+  ar.SortedMap(active_factors_, count);
+  ar.SortedMap(active_outages_, count);
+  ar.SortedMap(pending_kills_, event);
   // Storage-tier fault state (appended so the layout above is unchanged).
-  util::Rng::State straggler = straggler_rng_.SaveState();
-  w.U64(straggler.engine.state);
-  w.U64(straggler.engine.inc);
-  w.Bool(straggler.has_spare);
-  w.F64(straggler.spare);
-  w.F64(current_drain_factor_);
-  std::vector<std::pair<double, int>> drains(active_drain_factors_.begin(),
-                                             active_drain_factors_.end());
-  std::sort(drains.begin(), drains.end());
-  w.U32(static_cast<std::uint32_t>(drains.size()));
-  for (const auto& [factor, count] : drains) {
-    w.F64(factor);
-    w.I64(count);
-  }
-  w.I64(active_bb_faults_);
+  ar.Rng(straggler_rng_);
+  ar.F64(current_drain_factor_);
+  ar.SortedMap(active_drain_factors_, count);
+  ar.I64(active_bb_faults_);
   // MTBF failure-process state (appended; gated on the plan so runs without
   // the process keep the exact section layout they had before it existed).
   if (plan_.job_mtbf_seconds > 0) {
-    util::Rng::State mtbf = mtbf_rng_.SaveState();
-    w.U64(mtbf.engine.state);
-    w.U64(mtbf.engine.inc);
-    w.Bool(mtbf.has_spare);
-    w.F64(mtbf.spare);
-    std::vector<std::pair<workload::JobId, sim::EventId>> failures(
-        pending_failures_.begin(), pending_failures_.end());
-    std::sort(failures.begin(), failures.end());
-    w.U32(static_cast<std::uint32_t>(failures.size()));
-    for (const auto& [id, event] : failures) {
-      w.I64(id);
-      w.U64(event);
+    ar.Rng(mtbf_rng_);
+    ar.SortedMap(pending_failures_, event);
+  }
+  if constexpr (Ar::kLoading) {
+    for (const sim::Event& e : simulator_.PendingEvents()) {
+      if (e.owner == kEventOwner && e.kind == kEdge &&
+          (e.key < 0 || static_cast<std::size_t>(e.key) >= EdgeCount())) {
+        ar.Fail(
+            "plan edge index out of range (checkpoint does not match this "
+            "fault plan)");
+      }
     }
   }
 }
-
-void FaultInjector::RestoreState(ckpt::Reader& r) {
-  if (armed_) {
-    throw std::logic_error("FaultInjector::RestoreState after Arm()");
-  }
-  armed_ = r.Bool();
-  util::Rng::State rng;
-  rng.engine.state = r.U64();
-  rng.engine.inc = r.U64();
-  rng.has_spare = r.Bool();
-  rng.spare = r.F64();
-  kill_rng_.RestoreState(rng);
-  current_factor_ = r.F64();
-  last_factor_change_ = r.F64();
-  std::uint32_t factors = r.U32();
-  for (std::uint32_t i = 0; i < factors; ++i) {
-    double factor = r.F64();
-    active_factors_[factor] = static_cast<int>(r.I64());
-  }
-  std::uint32_t outages = r.U32();
-  for (std::uint32_t i = 0; i < outages; ++i) {
-    int midplane = static_cast<int>(r.I64());
-    active_outages_[midplane] = static_cast<int>(r.I64());
-  }
-  for (const sim::Event& e : simulator_.PendingEvents()) {
-    if (e.owner == kEventOwner && e.kind == kEdge &&
-        (e.key < 0 || static_cast<std::size_t>(e.key) >= EdgeCount())) {
-      throw ckpt::FormatError(
-          "checkpoint faults: plan edge index out of range (checkpoint "
-          "does not match this fault plan)");
-    }
-  }
-  auto read_pending = [this, &r](
-      std::unordered_map<workload::JobId, sim::EventId>& into) {
-    std::uint32_t n = r.U32();
-    for (std::uint32_t i = 0; i < n; ++i) {
-      workload::JobId id = r.I64();
-      sim::EventId event = r.U64();
-      simulator_.RequirePending(event, "faults");
-      into[id] = event;
-    }
-  };
-  read_pending(pending_kills_);
-  util::Rng::State straggler;
-  straggler.engine.state = r.U64();
-  straggler.engine.inc = r.U64();
-  straggler.has_spare = r.Bool();
-  straggler.spare = r.F64();
-  straggler_rng_.RestoreState(straggler);
-  current_drain_factor_ = r.F64();
-  std::uint32_t drains = r.U32();
-  for (std::uint32_t i = 0; i < drains; ++i) {
-    double factor = r.F64();
-    active_drain_factors_[factor] = static_cast<int>(r.I64());
-  }
-  active_bb_faults_ = static_cast<int>(r.I64());
-  if (plan_.job_mtbf_seconds > 0) {
-    util::Rng::State mtbf;
-    mtbf.engine.state = r.U64();
-    mtbf.engine.inc = r.U64();
-    mtbf.has_spare = r.Bool();
-    mtbf.spare = r.F64();
-    mtbf_rng_.RestoreState(mtbf);
-    read_pending(pending_failures_);
-  }
-}
+template void FaultInjector::Serialize(ckpt::Writer&);
+template void FaultInjector::Serialize(ckpt::Reader&);
 
 }  // namespace iosched::faults

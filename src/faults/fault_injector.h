@@ -13,7 +13,6 @@
 #include <functional>
 #include <unordered_map>
 
-#include "ckpt/serializer.h"
 #include "faults/fault_plan.h"
 #include "metrics/fault_stats.h"
 #include "sim/simulator.h"
@@ -94,18 +93,17 @@ class FaultInjector : private sim::EventHandler {
 
   const FaultPlan& plan() const { return plan_; }
 
-  /// Serialize runtime state: RNG stream positions, active windows, and
-  /// the ids of pending kill events (the events themselves, plan edges
+  /// Save or load runtime state: RNG stream positions, active windows,
+  /// and the ids of pending kill events (the events themselves, plan edges
   /// included, are in the simulator's state). The plan itself is NOT saved
   /// — it is rebuilt deterministically from the run config, which the
-  /// checkpoint's config hash pins.
-  void SaveState(ckpt::Writer& w) const;
-  /// Restore onto a freshly constructed (un-armed) injector built from the
-  /// identical plan, after the simulator restored its pending events.
-  /// Replaces the Arm() call for a resumed run. Throws ckpt::FormatError
-  /// for a saved kill id that is not pending or a pending plan edge the
-  /// plan does not have.
-  void RestoreState(ckpt::Reader& r);
+  /// checkpoint's config hash pins. A load goes onto a freshly constructed
+  /// (un-armed) injector built from the identical plan, after the
+  /// simulator restored its pending events, and replaces the Arm() call
+  /// for a resumed run. It throws ckpt::FormatError for a saved kill id
+  /// that is not pending or a pending plan edge the plan does not have.
+  template <class Ar>
+  void Serialize(Ar& ar);
 
  private:
   /// The injector's event kinds (sim::Event::kind under kEventOwner).

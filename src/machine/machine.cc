@@ -224,30 +224,6 @@ void Machine::AddToReleaseMask(const Partition& partition,
               });
 }
 
-void Machine::SaveState(ckpt::Writer& w) const {
-  w.U32(static_cast<std::uint32_t>(occupied_words_.size()));
-  for (std::uint64_t word : occupied_words_) w.U64(word);
-  for (std::uint64_t word : faulted_words_) w.U64(word);
-  w.I64(busy_nodes_);
-  w.I64(busy_midplanes_);
-  w.I64(faulted_count_);
-}
-
-void Machine::RestoreState(ckpt::Reader& r) {
-  std::uint32_t words = r.U32();
-  if (words != occupied_words_.size()) {
-    throw std::runtime_error(
-        "Machine::RestoreState: checkpoint machine geometry (" +
-        std::to_string(words) + " occupancy words) does not match this "
-        "machine (" + std::to_string(occupied_words_.size()) + ")");
-  }
-  for (std::uint64_t& word : occupied_words_) word = r.U64();
-  for (std::uint64_t& word : faulted_words_) word = r.U64();
-  busy_nodes_ = static_cast<int>(r.I64());
-  busy_midplanes_ = static_cast<int>(r.I64());
-  faulted_count_ = static_cast<int>(r.I64());
-}
-
 std::vector<bool> Machine::occupancy() const {
   std::vector<bool> out(static_cast<std::size_t>(config_.total_midplanes()));
   for (int i = 0; i < config_.total_midplanes(); ++i) {

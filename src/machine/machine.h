@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "ckpt/serializer.h"
 #include "util/field_table.h"
 
 namespace iosched::machine {
@@ -139,13 +138,28 @@ class Machine {
   /// Materialized from the packed word representation on each call.
   std::vector<bool> occupancy() const;
 
-  /// Serialize occupancy/fault words + derived counters. Geometry is not
-  /// saved — it is reconstructed from the run configuration, and the
-  /// checkpoint's config hash guarantees it matches.
-  void SaveState(ckpt::Writer& w) const;
-  /// Restore onto a machine built from the same config. Throws on a word
-  /// count mismatch (config drift that escaped the hash).
-  void RestoreState(ckpt::Reader& r);
+  /// Save or load the occupancy/fault words and derived counters.
+  /// Geometry is not saved — it is reconstructed from the run
+  /// configuration, and the checkpoint's config hash guarantees it
+  /// matches; a load still rejects a word count that differs (config drift
+  /// that escaped the hash).
+  template <class Ar>
+  void Serialize(Ar& ar) {
+    std::size_t words = occupied_words_.size();
+    ar.Size(words);
+    if constexpr (Ar::kLoading) {
+      if (words != occupied_words_.size()) {
+        ar.Fail("machine geometry (" + std::to_string(words) +
+                " occupancy words) does not match this machine (" +
+                std::to_string(occupied_words_.size()) + ")");
+      }
+    }
+    for (std::uint64_t& word : occupied_words_) ar.U64(word);
+    for (std::uint64_t& word : faulted_words_) ar.U64(word);
+    ar.I64(busy_nodes_);
+    ar.I64(busy_midplanes_);
+    ar.I64(faulted_count_);
+  }
 
  private:
   /// Midplane count of the block serving `requested_nodes` (1,2,4,...,row,

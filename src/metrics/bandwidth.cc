@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "ckpt/serializer.h"
 #include "util/units.h"
 
 namespace iosched::metrics {
@@ -130,71 +131,46 @@ BandwidthSummary BandwidthTracker::Summarize() const {
 
 namespace {
 
-void WriteSample(ckpt::Writer& w, const BandwidthSample& s) {
-  w.F64(s.time);
-  w.F64(s.demand_gbps);
-  w.F64(s.granted_gbps);
-  w.I64(s.suspended_requests);
-  w.I64(s.active_requests);
-}
-
-BandwidthSample ReadSample(ckpt::Reader& r) {
-  BandwidthSample s;
-  s.time = r.F64();
-  s.demand_gbps = r.F64();
-  s.granted_gbps = r.F64();
-  s.suspended_requests = static_cast<int>(r.I64());
-  s.active_requests = static_cast<int>(r.I64());
-  return s;
+template <class Ar>
+void SerializeSample(Ar& ar, BandwidthSample& s) {
+  ar.F64(s.time);
+  ar.F64(s.demand_gbps);
+  ar.F64(s.granted_gbps);
+  ar.I64(s.suspended_requests);
+  ar.I64(s.active_requests);
 }
 
 }  // namespace
 
-void BandwidthTracker::SaveState(ckpt::Writer& w) const {
-  w.U64(count_);
-  WriteSample(w, pending_);
-  WriteSample(w, previous_);
-  w.F64(first_time_);
-  w.F64(running_.congested_seconds);
-  w.F64(running_.demand_integral);
-  w.F64(running_.granted_integral);
-  w.F64(running_.wasted_integral);
-  w.Bool(running_.episode_open);
-  w.F64(running_.episode_start);
-  w.U64(running_.episode_count);
-  w.F64(running_.episode_total_seconds);
-  w.F64(running_.episode_max_seconds);
+template <class Ar>
+void BandwidthTracker::Serialize(Ar& ar) {
+  ar.U64(count_);
+  SerializeSample(ar, pending_);
+  SerializeSample(ar, previous_);
+  ar.F64(first_time_);
+  ar.F64(running_.congested_seconds);
+  ar.F64(running_.demand_integral);
+  ar.F64(running_.granted_integral);
+  ar.F64(running_.wasted_integral);
+  ar.Bool(running_.episode_open);
+  ar.F64(running_.episode_start);
+  ar.U64(running_.episode_count);
+  ar.F64(running_.episode_total_seconds);
+  ar.F64(running_.episode_max_seconds);
 }
+template void BandwidthTracker::Serialize(ckpt::Writer&);
+template void BandwidthTracker::Serialize(ckpt::Reader&);
 
-void BandwidthTracker::RestoreState(ckpt::Reader& r) {
-  count_ = r.U64();
-  pending_ = ReadSample(r);
-  previous_ = ReadSample(r);
-  first_time_ = r.F64();
-  running_.congested_seconds = r.F64();
-  running_.demand_integral = r.F64();
-  running_.granted_integral = r.F64();
-  running_.wasted_integral = r.F64();
-  running_.episode_open = r.Bool();
-  running_.episode_start = r.F64();
-  running_.episode_count = r.U64();
-  running_.episode_total_seconds = r.F64();
-  running_.episode_max_seconds = r.F64();
-}
-
-void BandwidthTracker::SaveSamples(ckpt::Writer& w) const {
-  w.U32(static_cast<std::uint32_t>(samples_.size()));
-  for (const BandwidthSample& s : samples_) WriteSample(w, s);
-}
-
-void BandwidthTracker::RestoreSamples(ckpt::Reader& r) {
-  samples_.resize(r.U32());
-  for (BandwidthSample& s : samples_) s = ReadSample(r);
-  if (samples_.size() != count_) {
-    throw std::runtime_error(
-        "BandwidthTracker: sample series length does not match the "
-        "summary state");
+template <class Ar>
+void BandwidthTracker::SerializeSamples(Ar& ar) {
+  ar.Seq(samples_, [&ar](BandwidthSample& s) { SerializeSample(ar, s); });
+  if constexpr (Ar::kLoading) {
+    if (samples_.size() != count_) {
+      ar.Fail("sample series length does not match the summary state");
+    }
   }
 }
+template void BandwidthTracker::SerializeSamples(ckpt::Writer&);
+template void BandwidthTracker::SerializeSamples(ckpt::Reader&);
 
 }  // namespace iosched::metrics

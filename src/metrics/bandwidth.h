@@ -15,7 +15,6 @@
 #include <utility>
 #include <vector>
 
-#include "ckpt/serializer.h"
 #include "sim/time.h"
 
 namespace iosched::metrics {
@@ -93,13 +92,15 @@ class BandwidthTracker {
   /// Aggregate the whole series.
   BandwidthSummary Summarize() const;
 
-  /// Serialize the running accumulators and the last two samples: a fixed
-  /// size, independent of run length (max_bandwidth_ comes from config).
-  void SaveState(ckpt::Writer& w) const;
-  void RestoreState(ckpt::Reader& r);
-  /// Serialize the kept series (the optional bandwidth_samples section).
-  void SaveSamples(ckpt::Writer& w) const;
-  void RestoreSamples(ckpt::Reader& r);
+  /// Save or load the running accumulators and the last two samples: a
+  /// fixed size, independent of run length (max_bandwidth_ comes from
+  /// config).
+  template <class Ar>
+  void Serialize(Ar& ar);
+  /// Save or load the kept series (the optional bandwidth_samples
+  /// section); a load must follow Serialize, whose sample count it checks.
+  template <class Ar>
+  void SerializeSamples(Ar& ar);
 
  private:
   /// Integrals and congestion-episode state over the samples folded so far.

@@ -8,7 +8,6 @@
 #include <iosfwd>
 #include <vector>
 
-#include "ckpt/serializer.h"
 #include "sim/time.h"
 #include "workload/job.h"
 
@@ -26,7 +25,8 @@ enum class FaultEventKind {
   kBbRepair,        // burst buffer came back
   kDrainDegrade,    // BB drain rate scaled down (detail = new drain factor)
   kDrainRestore,    // drain degradation ended (detail = new factor)
-  // Appended (U8 serialization): never reorder the values above.
+  // Appended (U8 serialization): never reorder the values above, and move
+  // FaultStats::Serialize's bound to a value appended below.
   kMtbfFailure,     // MTBF process failed a running job
 };
 
@@ -69,45 +69,25 @@ struct FaultStats {
   /// CSV: time,event,job,detail — the per-run fault timeline.
   void WriteTimelineCsv(std::ostream& out) const;
 
-  void SaveState(ckpt::Writer& w) const {
-    w.U32(static_cast<std::uint32_t>(timeline.size()));
-    for (const FaultEvent& e : timeline) {
-      w.F64(e.time);
-      w.U8(static_cast<std::uint8_t>(e.kind));
-      w.I64(e.job);
-      w.F64(e.detail);
-    }
-    w.F64(degraded_seconds);
-    w.F64(min_bandwidth_factor);
-    w.U64(storage_degradations);
-    w.U64(midplane_outages);
-    w.U64(fault_kills);
-    w.U64(requeues);
-    w.U64(abandoned_jobs);
-    w.U64(bb_faults);
-    w.U64(drain_degradations);
-    w.F64(min_drain_factor);
-    w.U64(mtbf_failures);
-  }
-  void RestoreState(ckpt::Reader& r) {
-    timeline.resize(r.U32());
-    for (FaultEvent& e : timeline) {
-      e.time = r.F64();
-      e.kind = static_cast<FaultEventKind>(r.U8());
-      e.job = r.I64();
-      e.detail = r.F64();
-    }
-    degraded_seconds = r.F64();
-    min_bandwidth_factor = r.F64();
-    storage_degradations = r.U64();
-    midplane_outages = r.U64();
-    fault_kills = r.U64();
-    requeues = r.U64();
-    abandoned_jobs = r.U64();
-    bb_faults = r.U64();
-    drain_degradations = r.U64();
-    min_drain_factor = r.F64();
-    mtbf_failures = r.U64();
+  template <class Ar>
+  void Serialize(Ar& ar) {
+    ar.Seq(timeline, [&ar](FaultEvent& e) {
+      ar.F64(e.time);
+      ar.Enum(e.kind, FaultEventKind::kMtbfFailure);
+      ar.I64(e.job);
+      ar.F64(e.detail);
+    });
+    ar.F64(degraded_seconds);
+    ar.F64(min_bandwidth_factor);
+    ar.U64(storage_degradations);
+    ar.U64(midplane_outages);
+    ar.U64(fault_kills);
+    ar.U64(requeues);
+    ar.U64(abandoned_jobs);
+    ar.U64(bb_faults);
+    ar.U64(drain_degradations);
+    ar.F64(min_drain_factor);
+    ar.U64(mtbf_failures);
   }
 };
 

@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "ckpt/serializer.h"
 #include "sim/time.h"
 
 namespace iosched::metrics {
@@ -41,18 +40,13 @@ class UtilizationTracker {
   sim::SimTime first_time() const;
   sim::SimTime last_time() const;
 
-  /// Serialize the change-point series (total_nodes_ comes from config).
-  void SaveState(ckpt::Writer& w) const {
-    w.U32(static_cast<std::uint32_t>(times_.size()));
-    for (sim::SimTime t : times_) w.F64(t);
-    for (int b : busy_) w.I64(b);
-  }
-  void RestoreState(ckpt::Reader& r) {
-    std::uint32_t n = r.U32();
-    times_.resize(n);
-    busy_.resize(n);
-    for (sim::SimTime& t : times_) t = r.F64();
-    for (int& b : busy_) b = static_cast<int>(r.I64());
+  /// Save or load the change-point series (total_nodes_ comes from
+  /// config).
+  template <class Ar>
+  void Serialize(Ar& ar) {
+    ar.Seq(times_, [&ar](sim::SimTime& t) { ar.F64(t); });
+    busy_.resize(times_.size());
+    for (int& b : busy_) ar.I64(b);
   }
 
  private:

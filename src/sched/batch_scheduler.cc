@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "ckpt/serializer.h"
 #include "obs/hub.h"
 #include "util/units.h"
 
@@ -144,32 +145,14 @@ std::vector<StartDecision> BatchScheduler::Schedule(sim::SimTime now) {
 
   // Build the eligible candidates in service order. Jobs still inside
   // their requeue backoff are invisible to this pass (they neither start
-  // nor hold the EASY reservation). The incremental path orders the whole
-  // standing queue and filters afterwards — identical to ordering the
-  // filtered subset, because the order is a total order independent of
+  // nor hold the EASY reservation). The wait queue orders the whole
+  // standing queue and the pass filters afterwards — identical to ordering
+  // the filtered subset, because the order is a total order independent of
   // membership.
   candidates_.clear();
-  if (options_.incremental_order) {
-    for (const WaitQueue::Entry& e : wait_queue_.Ordered(now)) {
-      if (InBackoff(e.id, now)) continue;
-      candidates_.push_back(Candidate{e.job, e.block_nodes});
-    }
-  } else {
-    // Reference path: full re-sort from scratch via OrderQueue. Kept so
-    // tests and benchmarks can diff the two orders; schedules are
-    // bit-identical.
-    std::vector<const workload::Job*> eligible;
-    eligible.reserve(queue_.size());
-    for (const workload::Job* job : queue_) {
-      if (InBackoff(job->id, now)) continue;
-      eligible.push_back(job);
-    }
-    for (const workload::Job* job :
-         OrderQueue(eligible, options_.order, now)) {
-      // Block size exists: Submit validated the job fits the machine.
-      candidates_.push_back(
-          Candidate{job, *machine_.BlockNodesFor(job->nodes)});
-    }
+  for (const WaitQueue::Entry& e : wait_queue_.Ordered(now)) {
+    if (InBackoff(e.id, now)) continue;
+    candidates_.push_back(Candidate{e.job, e.block_nodes});
   }
   if (candidates_.empty()) return decisions;
 
@@ -297,112 +280,53 @@ void BatchScheduler::OnJobEnd(workload::JobId id, sim::SimTime now) {
   retries_.erase(id);
 }
 
-namespace {
-// Serialize unordered_map entries sorted by job id so the checkpoint bytes
-// are deterministic (the maps' iteration order is not). The running set is
-// written in the same id order.
-template <typename Map, typename Fn>
-void WriteSortedById(ckpt::Writer& w, const Map& map, Fn&& write_value) {
-  std::vector<workload::JobId> ids;
-  ids.reserve(map.size());
-  for (const auto& [id, _] : map) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  w.U32(static_cast<std::uint32_t>(ids.size()));
-  for (workload::JobId id : ids) {
-    w.I64(id);
-    write_value(map.at(id));
-  }
-}
-}  // namespace
-
-void BatchScheduler::SaveState(ckpt::Writer& w) const {
-  w.U32(static_cast<std::uint32_t>(queue_.size()));
-  for (const workload::Job* job : queue_) w.I64(job->id);
-  std::vector<const RunningJob*> by_id;
-  by_id.reserve(running_.size());
-  for (const RunningJob& run : running_) by_id.push_back(&run);
-  std::sort(by_id.begin(), by_id.end(),
-            [](const RunningJob* a, const RunningJob* b) {
-              return a->job->id < b->job->id;
-            });
-  w.U32(static_cast<std::uint32_t>(by_id.size()));
-  for (const RunningJob* run : by_id) {
-    w.I64(run->job->id);
-    w.I64(run->partition.first_midplane);
-    w.I64(run->partition.midplane_count);
-    w.I64(run->partition.nodes);
-    w.F64(run->start_time);
-    w.F64(run->predicted_end);
-  }
-  WriteSortedById(w, retries_, [&w](int retries) { w.I64(retries); });
-  WriteSortedById(w, eligible_after_,
-                  [&w](sim::SimTime t) { w.F64(t); });
-  util::Rng::State jitter = jitter_rng_.SaveState();
-  w.U64(jitter.engine.state);
-  w.U64(jitter.engine.inc);
-  w.Bool(jitter.has_spare);
-  w.F64(jitter.spare);
-}
-
-void BatchScheduler::RestoreState(
-    ckpt::Reader& r,
-    const std::function<const workload::Job*(workload::JobId)>& resolve) {
-  auto must_resolve = [&resolve](workload::JobId id) {
-    const workload::Job* job = resolve(id);
-    if (job == nullptr) {
-      throw std::runtime_error(
-          "BatchScheduler::RestoreState: checkpoint references job " +
-          std::to_string(id) + " absent from the workload");
-    }
-    return job;
+template <class Ar>
+void BatchScheduler::Serialize(Ar& ar) {
+  ar.Seq(queue_, [&ar](const workload::Job*& job) { ar.JobRef(job); });
+  // The running set is written in job-id order.
+  const auto id_order = [](const RunningJob& a, const RunningJob& b) {
+    return a.job->id < b.job->id;
   };
-  queue_.clear();
-  wait_queue_.Clear();
-  running_.clear();
-  masks_built_ = 1;
-  retries_.clear();
-  eligible_after_.clear();
-  std::uint32_t queued = r.U32();
-  queue_.reserve(queued);
-  for (std::uint32_t i = 0; i < queued; ++i) {
-    const workload::Job* job = must_resolve(r.I64());
-    queue_.push_back(job);
-    wait_queue_.Insert(*job, *machine_.BlockNodesFor(job->nodes));
+  std::vector<RunningJob> by_id;
+  if constexpr (!Ar::kLoading) {
+    by_id = running_;
+    std::sort(by_id.begin(), by_id.end(), id_order);
   }
-  std::uint32_t running = r.U32();
-  for (std::uint32_t i = 0; i < running; ++i) {
-    workload::JobId id = r.I64();
-    RunningJob run;
-    run.job = must_resolve(id);
-    run.partition.first_midplane = static_cast<int>(r.I64());
-    run.partition.midplane_count = static_cast<int>(r.I64());
-    run.partition.nodes = static_cast<int>(r.I64());
-    run.start_time = r.F64();
-    run.predicted_end = r.F64();
-    if (IsRunning(id)) {
-      throw std::runtime_error(
-          "BatchScheduler::RestoreState: job " + std::to_string(id) +
-          " is running twice");
+  ar.Seq(by_id, [&ar](RunningJob& run) {
+    ar.JobRef(run.job);
+    ar.I64(run.partition.first_midplane);
+    ar.I64(run.partition.midplane_count);
+    ar.I64(run.partition.nodes);
+    ar.F64(run.start_time);
+    ar.F64(run.predicted_end);
+  });
+  ar.SortedMap(retries_,
+               [&ar](workload::JobId, int& retries) { ar.I64(retries); });
+  ar.SortedMap(eligible_after_,
+               [&ar](workload::JobId, sim::SimTime& t) { ar.F64(t); });
+  ar.Rng(jitter_rng_);
+  if constexpr (Ar::kLoading) {
+    // Rebuild what the file does not hold: the service order, the running
+    // set in release order, and the release masks.
+    wait_queue_.Clear();
+    for (const workload::Job* job : queue_) {
+      wait_queue_.Insert(*job, *machine_.BlockNodesFor(job->nodes));
     }
-    running_.push_back(run);
+    std::sort(by_id.begin(), by_id.end(), id_order);
+    auto twice = std::adjacent_find(
+        by_id.begin(), by_id.end(),
+        [](const RunningJob& a, const RunningJob& b) {
+          return a.job->id == b.job->id;
+        });
+    if (twice != by_id.end()) {
+      ar.Fail("job " + std::to_string(twice->job->id) + " is running twice");
+    }
+    running_ = std::move(by_id);
+    std::sort(running_.begin(), running_.end(), EndsBefore);
+    masks_built_ = 1;
   }
-  std::sort(running_.begin(), running_.end(), EndsBefore);
-  std::uint32_t retried = r.U32();
-  for (std::uint32_t i = 0; i < retried; ++i) {
-    workload::JobId id = r.I64();
-    retries_.emplace(id, static_cast<int>(r.I64()));
-  }
-  std::uint32_t gated = r.U32();
-  for (std::uint32_t i = 0; i < gated; ++i) {
-    workload::JobId id = r.I64();
-    eligible_after_.emplace(id, r.F64());
-  }
-  util::Rng::State jitter;
-  jitter.engine.state = r.U64();
-  jitter.engine.inc = r.U64();
-  jitter.has_spare = r.Bool();
-  jitter.spare = r.F64();
-  jitter_rng_.RestoreState(jitter);
 }
+template void BatchScheduler::Serialize(ckpt::Writer&);
+template void BatchScheduler::Serialize(ckpt::Reader&);
 
 }  // namespace iosched::sched

@@ -21,7 +21,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "ckpt/serializer.h"
 #include "machine/machine.h"
 #include "sched/queue_policy.h"
 #include "sched/wait_queue.h"
@@ -72,12 +71,6 @@ class BatchScheduler {
     /// schedule).
     double backoff_jitter_fraction = 0.0;
     std::uint64_t backoff_jitter_seed = 1;
-    /// Maintain the service order incrementally between dispatch passes
-    /// (sched/wait_queue.h) instead of re-sorting the queue from scratch
-    /// each pass. Both paths produce bit-identical schedules — the toggle
-    /// exists so tests can diff them and benchmarks can measure the full
-    /// re-sort reference.
-    bool incremental_order = true;
   };
 
   /// `machine` must outlive the scheduler. Throws std::invalid_argument
@@ -146,16 +139,13 @@ class BatchScheduler {
   bool IsRunning(workload::JobId id) const;
   const Options& options() const { return options_; }
 
-  /// Serialize queue order, running set, retry counters, and backoff gates
-  /// (job pointers become ids). The machine's occupancy is saved by the
-  /// Machine itself — restoring does NOT re-allocate partitions.
-  void SaveState(ckpt::Writer& w) const;
-  /// Restore onto a scheduler built with the same machine/options.
-  /// `resolve` maps a job id back to its workload entry and must cover
-  /// every saved id (throws otherwise).
-  void RestoreState(
-      ckpt::Reader& r,
-      const std::function<const workload::Job*(workload::JobId)>& resolve);
+  /// Save or load queue order, running set, retry counters, and backoff
+  /// gates (job pointers become ids, resolved on load by the reader's job
+  /// lookup). The machine's occupancy is saved by the Machine itself —
+  /// loading does NOT re-allocate partitions. Load onto a scheduler built
+  /// with the same machine/options.
+  template <class Ar>
+  void Serialize(Ar& ar);
 
   /// Earliest time `head`'s block could be allocated, assuming running
   /// jobs end at their predicted ends: `now` when it fits already, else the
@@ -258,9 +248,6 @@ void VisitFields(C& c, V& v) {
   v(c.backoff_jitter_seed,
     {"backoff_jitter_seed", "faults.backoff_jitter_seed", kAny, kSchedule,
      "seed of the requeue scatter"});
-  v(c.incremental_order,
-    {"incremental_order", nullptr, kAny, kExcluded,
-     "both queue-order paths give bit-identical schedules"});
 }
 
 }  // namespace iosched::sched

@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "ckpt/checkpoint.h"
 #include "ckpt/serializer.h"
 #include "obs/metrics.h"
 #include "util/units.h"
@@ -75,54 +74,54 @@ bool Simulator::RunOne() {
   return true;
 }
 
-void Simulator::SaveState(ckpt::Writer& w) const {
-  w.F64(now_);
-  w.U64(processed_);
-  w.U64(queue_.next_id());
-  std::vector<Event> pending = queue_.Pending();
-  w.U32(static_cast<std::uint32_t>(pending.size()));
-  for (const Event& e : pending) {
-    w.F64(e.time);
-    w.U64(e.id);
-    w.U8(e.owner);
-    w.U8(e.kind);
-    w.I64(e.key);
-    w.F64(e.arg);
-  }
-}
-
-void Simulator::RestoreState(ckpt::Reader& r) {
-  now_ = r.F64();
-  processed_ = r.U64();
-  EventId next_id = r.U64();
-  try {
-    queue_.SetNextId(next_id);
-  } catch (const std::logic_error& err) {
-    throw ckpt::FormatError(std::string("checkpoint sim: ") + err.what());
-  }
-  for (std::uint32_t n = r.U32(); n > 0; --n) {
-    // Braced initializers evaluate in order: the fields' file order.
-    Event e{r.F64(), r.U64(), r.U8(), r.U8(), r.I64(), r.F64()};
-    const Registration& slot = handlers_[e.owner];
+template <class Ar>
+void Simulator::Serialize(Ar& ar) {
+  ar.F64(now_);
+  ar.U64(processed_);
+  EventId next_id = queue_.next_id();
+  ar.U64(next_id);
+  std::vector<Event> pending;
+  if constexpr (Ar::kLoading) {
     try {
-      if (slot.handler == nullptr) {
-        throw std::logic_error("no component handles its owner " +
-                               std::to_string(e.owner));
-      }
-      if (e.kind >= slot.kind_count) {
-        throw std::logic_error("its owner defines no kind " +
-                               std::to_string(e.kind));
-      }
-      ScheduleReserved(e);
+      queue_.SetNextId(next_id);
     } catch (const std::logic_error& err) {
-      throw ckpt::FormatError("checkpoint sim: pending event " +
-                              std::to_string(e.id) + ": " + err.what());
+      ar.Fail(err.what());
+    }
+  } else {
+    pending = queue_.Pending();
+  }
+  ar.Seq(pending, [&ar](Event& e) {
+    ar.F64(e.time);
+    ar.U64(e.id);
+    ar.U8(e.owner);
+    ar.U8(e.kind);
+    ar.I64(e.key);
+    ar.F64(e.arg);
+  });
+  if constexpr (Ar::kLoading) {
+    for (const Event& e : pending) {
+      try {
+        const Registration& slot = handlers_[e.owner];
+        if (slot.handler == nullptr) {
+          throw std::logic_error("no component handles its owner " +
+                                 std::to_string(e.owner));
+        }
+        if (e.kind >= slot.kind_count) {
+          throw std::logic_error("its owner defines no kind " +
+                                 std::to_string(e.kind));
+        }
+        ScheduleReserved(e);
+      } catch (const std::logic_error& err) {
+        ar.Fail("pending event " + std::to_string(e.id) + ": " + err.what());
+      }
     }
   }
 }
+template void Simulator::Serialize(ckpt::Writer&);
+template void Simulator::Serialize(ckpt::Reader&);
 
 void Simulator::RequirePending(EventId id, std::string_view holder) const {
-  if (id != 0 && !queue_.Contains(id)) {
+  if (id != 0 && !IsPending(id)) {
     throw ckpt::FormatError("checkpoint " + std::string(holder) +
                             ": event " + std::to_string(id) +
                             " is not pending in the sim section");

@@ -15,11 +15,6 @@
 #include "sim/event_queue.h"
 #include "sim/time.h"
 
-namespace iosched::ckpt {
-class Reader;
-class Writer;
-}  // namespace iosched::ckpt
-
 namespace iosched::obs {
 class Counter;
 }
@@ -101,17 +96,18 @@ class Simulator {
   // The clock, lifetime event count, id counter and every pending event are
   // the simulator's own state; components keep only the ids they cancel.
 
-  /// Save the clock, counters and the pending events in (time, id) order
-  /// (lazily-cancelled entries are not saved).
-  void SaveState(ckpt::Writer& w) const;
+  /// Save or load the clock, counters and the pending events in (time,
+  /// id) order (lazily-cancelled entries are not saved). Load onto a fresh
+  /// simulator whose handlers are all registered: each event returns under
+  /// its saved id, so post-restore scheduling continues the saved id
+  /// sequence. Throws ckpt::FormatError for an event whose owner has no
+  /// handler, whose kind the owner does not define, whose id was never
+  /// handed out or repeats, or which precedes the saved clock.
+  template <class Ar>
+  void Serialize(Ar& ar);
 
-  /// Restore onto a fresh simulator whose handlers are all registered.
-  /// Each event returns under its saved id, so post-restore scheduling
-  /// continues the saved id sequence. Throws ckpt::FormatError for an
-  /// event whose owner has no handler, whose kind the owner does not
-  /// define, whose id was never handed out or repeats, or which precedes
-  /// the saved clock.
-  void RestoreState(ckpt::Reader& r);
+  /// True when `id` names a pending event.
+  bool IsPending(EventId id) const { return queue_.Contains(id); }
 
   /// Throws ckpt::FormatError naming `holder` unless `id` is pending or 0
   /// (no event): a component restoring an event id it will later cancel

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "ckpt/serializer.h"
 #include "util/units.h"
 
 namespace iosched::storage {
@@ -132,64 +133,33 @@ void BurstBuffer::SetDrainFactor(double factor) {
   drain_factor_ = factor;
 }
 
-void BurstBuffer::SaveState(ckpt::Writer& w) const {
-  w.F64(queued_gb_);
-  w.F64(total_absorbed_gb_);
-  w.U64(absorbed_requests_);
-  w.F64(last_update_);
-  w.F64(total_drained_gb_);
-  w.F64(peak_queued_gb_);
-  w.F64(occupancy_integral_gbs_);
-  w.U64(spilled_requests_);
+template <class Ar>
+void BurstBuffer::Serialize(Ar& ar) {
+  ar.F64(queued_gb_);
+  ar.F64(total_absorbed_gb_);
+  ar.U64(absorbed_requests_);
+  ar.F64(last_update_);
+  ar.F64(total_drained_gb_);
+  ar.F64(peak_queued_gb_);
+  ar.F64(occupancy_integral_gbs_);
+  ar.U64(spilled_requests_);
   // The FIFO is serialized verbatim (front first) and the per-job usage by
   // ascending id, so restore is a structural copy — required for bit-exact
   // resume equivalence.
-  w.U32(static_cast<std::uint32_t>(fifo_.size()));
-  for (const Segment& s : fifo_) {
-    w.I64(s.job_id);
-    w.F64(s.remaining_gb);
-  }
-  w.U32(static_cast<std::uint32_t>(usage_.size()));
-  for (const auto& [job, usage] : usage_) {
-    w.I64(job);
-    w.F64(usage.gb);
-    w.U32(usage.segments);
-  }
+  ar.Seq(fifo_, [&ar](Segment& s) {
+    ar.I64(s.job_id);
+    ar.F64(s.remaining_gb);
+  });
+  ar.SortedMap(usage_, [&ar](workload::JobId, JobUsage& usage) {
+    ar.F64(usage.gb);
+    ar.U32(usage.segments);
+  });
   // Fault-model state (appended so the layout above is unchanged).
-  w.Bool(faulted_);
-  w.F64(drain_factor_);
-  w.F64(total_lost_gb_);
+  ar.Bool(faulted_);
+  ar.F64(drain_factor_);
+  ar.F64(total_lost_gb_);
 }
-
-void BurstBuffer::RestoreState(ckpt::Reader& r) {
-  fifo_.clear();
-  usage_.clear();
-  queued_gb_ = r.F64();
-  total_absorbed_gb_ = r.F64();
-  absorbed_requests_ = static_cast<std::size_t>(r.U64());
-  last_update_ = r.F64();
-  total_drained_gb_ = r.F64();
-  peak_queued_gb_ = r.F64();
-  occupancy_integral_gbs_ = r.F64();
-  spilled_requests_ = static_cast<std::size_t>(r.U64());
-  std::uint32_t segments = r.U32();
-  for (std::uint32_t i = 0; i < segments; ++i) {
-    Segment s;
-    s.job_id = r.I64();
-    s.remaining_gb = r.F64();
-    fifo_.push_back(s);
-  }
-  std::uint32_t jobs = r.U32();
-  for (std::uint32_t i = 0; i < jobs; ++i) {
-    workload::JobId job = r.I64();
-    JobUsage usage;
-    usage.gb = r.F64();
-    usage.segments = r.U32();
-    usage_.emplace(job, usage);
-  }
-  faulted_ = r.Bool();
-  drain_factor_ = r.F64();
-  total_lost_gb_ = r.F64();
-}
+template void BurstBuffer::Serialize(ckpt::Writer&);
+template void BurstBuffer::Serialize(ckpt::Reader&);
 
 }  // namespace iosched::storage

@@ -19,7 +19,6 @@
 #include <deque>
 #include <map>
 
-#include "ckpt/serializer.h"
 #include "sim/time.h"
 #include "util/field_table.h"
 #include "workload/job.h"
@@ -161,9 +160,10 @@ class BurstBuffer {
   double UsageTotalGb() const;
   std::size_t segment_count() const { return fifo_.size(); }
 
-  /// Serialize queue/lifetime state (config comes from the run config).
-  void SaveState(ckpt::Writer& w) const;
-  void RestoreState(ckpt::Reader& r);
+  /// Save or load queue/lifetime state (config comes from the run
+  /// config).
+  template <class Ar>
+  void Serialize(Ar& ar);
 
  private:
   /// One absorbed request awaiting drain; drained strictly front-first.
@@ -191,7 +191,6 @@ class BurstBuffer {
   /// Drain-rate multiplier from fault injection (1.0 = nominal).
   double drain_factor_ = 1.0;
   std::deque<Segment> fifo_;
-  // std::map: deterministic iteration keeps SaveState byte-stable.
   std::map<workload::JobId, JobUsage> usage_;
   sim::SimTime last_update_ = 0.0;
 };

@@ -6,6 +6,7 @@
 #include <string>
 #include <utility>
 
+#include "ckpt/serializer.h"
 #include "util/units.h"
 
 namespace iosched::storage {
@@ -15,9 +16,8 @@ bool Transfer::Complete() const {
 }
 
 StorageModel::StorageModel(StorageConfig config) : config_(config) {
-  if (config_.max_bandwidth_gbps <= 0) {
-    throw std::invalid_argument("StorageModel: non-positive BWmax");
-  }
+  std::string err = util::FirstIssue(config_);
+  if (!err.empty()) throw std::invalid_argument("StorageModel: " + err);
 }
 
 bool StorageModel::CompleteAt(std::size_t slot) const {
@@ -273,84 +273,54 @@ void StorageModel::SetUserSlot(workload::JobId job, std::uint32_t user_slot) {
   user_slots_[SlotOf(job)] = user_slot;
 }
 
-void StorageModel::SaveState(ckpt::Writer& w) const {
-  w.F64(config_.max_bandwidth_gbps);
-  w.F64(last_update_);
-  w.F64(total_assigned_rate_);
-  w.F64(total_demand_gbps_);
-  w.I64(total_nodes_);
-  const std::size_t n = job_ids_.size();
-  w.U32(static_cast<std::uint32_t>(n));
-  // Field sequence matches the pre-SoA per-Transfer layout byte for byte;
-  // user slots are runtime-only and excluded.
+template <class Ar>
+void StorageModel::Serialize(Ar& ar) {
+  ar.F64(config_.max_bandwidth_gbps);
+  ar.F64(last_update_);
+  ar.F64(total_assigned_rate_);
+  ar.F64(total_demand_gbps_);
+  ar.I64(total_nodes_);
+  std::size_t n = job_ids_.size();
+  ar.Size(n);
+  if constexpr (Ar::kLoading) {
+    for (auto* column : {&full_rates_, &volumes_, &transferred_, &arrivals_,
+                         &rates_, &efficiencies_}) {
+      column->assign(n, 0.0);
+    }
+    job_ids_.assign(n, 0);
+    nodes_.assign(n, 0);
+    user_slots_.assign(n, kNoUserSlot);
+    arrival_order_.assign(n, 0);
+  }
+  // Field sequence matches the pre-SoA per-Transfer layout byte for byte.
   for (std::size_t i = 0; i < n; ++i) {
-    w.I64(job_ids_[i]);
-    w.I64(nodes_[i]);
-    w.F64(full_rates_[i]);
-    w.F64(volumes_[i]);
-    w.F64(transferred_[i]);
-    w.F64(arrivals_[i]);
-    w.F64(rates_[i]);
-    w.F64(efficiencies_[i]);
+    ar.I64(job_ids_[i]);
+    ar.I64(nodes_[i]);
+    ar.F64(full_rates_[i]);
+    ar.F64(volumes_[i]);
+    ar.F64(transferred_[i]);
+    ar.F64(arrivals_[i]);
+    ar.F64(rates_[i]);
+    ar.F64(efficiencies_[i]);
   }
   // The FCFS order is a permutation of dense slots; saving it verbatim
   // avoids re-deriving it (and keeps restore a structural copy).
-  for (std::size_t slot : arrival_order_) {
-    w.U32(static_cast<std::uint32_t>(slot));
-  }
-}
-
-void StorageModel::RestoreState(ckpt::Reader& r) {
-  job_ids_.clear();
-  nodes_.clear();
-  full_rates_.clear();
-  volumes_.clear();
-  transferred_.clear();
-  arrivals_.clear();
-  rates_.clear();
-  efficiencies_.clear();
-  user_slots_.clear();
-  index_.clear();
-  arrival_order_.clear();
-  config_.max_bandwidth_gbps = r.F64();
-  last_update_ = r.F64();
-  total_assigned_rate_ = r.F64();
-  total_demand_gbps_ = r.F64();
-  total_nodes_ = r.I64();
-  std::uint32_t count = r.U32();
-  job_ids_.reserve(count);
-  nodes_.reserve(count);
-  full_rates_.reserve(count);
-  volumes_.reserve(count);
-  transferred_.reserve(count);
-  arrivals_.reserve(count);
-  rates_.reserve(count);
-  efficiencies_.reserve(count);
-  user_slots_.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    workload::JobId id = r.I64();
-    index_.emplace(id, job_ids_.size());
-    job_ids_.push_back(id);
-    nodes_.push_back(static_cast<int>(r.I64()));
-    full_rates_.push_back(r.F64());
-    volumes_.push_back(r.F64());
-    transferred_.push_back(r.F64());
-    arrivals_.push_back(r.F64());
-    rates_.push_back(r.F64());
-    efficiencies_.push_back(r.F64());
-    user_slots_.push_back(kNoUserSlot);
-  }
-  arrival_order_.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    std::size_t slot = r.U32();
-    if (slot >= job_ids_.size()) {
-      throw std::runtime_error(
-          "StorageModel::RestoreState: arrival order references slot " +
-          std::to_string(slot) + " of " + std::to_string(job_ids_.size()));
+  for (std::size_t& slot : arrival_order_) {
+    ar.U32(slot);
+    if constexpr (Ar::kLoading) {
+      if (slot >= n) {
+        ar.Fail("arrival order references slot " + std::to_string(slot) +
+                " of " + std::to_string(n));
+      }
     }
-    arrival_order_.push_back(slot);
+  }
+  if constexpr (Ar::kLoading) {
+    index_.clear();
+    for (std::size_t i = 0; i < n; ++i) index_.emplace(job_ids_[i], i);
   }
 }
+template void StorageModel::Serialize(ckpt::Writer&);
+template void StorageModel::Serialize(ckpt::Reader&);
 
 void StorageModel::ValidateAssignment() const {
   if (!config_.enforce_capacity) return;

@@ -38,8 +38,8 @@
 #include <utility>
 #include <vector>
 
-#include "ckpt/serializer.h"
 #include "sim/time.h"
+#include "util/field_table.h"
 #include "workload/job.h"
 
 namespace iosched::storage {
@@ -50,6 +50,20 @@ struct StorageConfig {
   /// Validate that assigned rates never sum above BWmax (tolerance applied).
   bool enforce_capacity = true;
 };
+
+/// StorageConfig's rows of the SimulationConfig field table
+/// (util/field_table.h, core/config_fields.h); the model's constructor
+/// checks the same rules.
+template <util::MaybeConst<StorageConfig> C, class V>
+void VisitFields(C& c, V& v) {
+  using util::kAny, util::kPositive;
+  using enum util::HashClass;
+  v(c.max_bandwidth_gbps,
+    {"max_bandwidth_gbps", "storage.bwmax_gbps", kPositive, kSchedule,
+     "file-server bandwidth BWmax (GB/s)"});
+  v(c.enforce_capacity, {"enforce_capacity", nullptr, kAny, kSchedule,
+                         "throw on grants above BWmax"});
+}
 
 /// Value snapshot of one in-flight I/O request (the k-th I/O of some job).
 /// The model stores these fields column-wise; Get/End/ActiveByArrival
@@ -186,7 +200,7 @@ class StorageModel {
 
   /// Invoked by SetMaxBandwidth with (new BWmax, change time) right after
   /// the cap is swapped. At most one listener; replace with nullptr to
-  /// detach. Never fired by RestoreState.
+  /// detach. Never fired by a checkpoint load.
   using BandwidthChangeListener = std::function<void(double, sim::SimTime)>;
   void SetBandwidthChangeListener(BandwidthChangeListener listener) {
     bandwidth_listener_ = std::move(listener);
@@ -202,7 +216,7 @@ class StorageModel {
 
   /// Attach an opaque user slot to the job's transfer (the I/O scheduler
   /// caches its job-context slot here so view building never hashes).
-  /// Runtime-only state: NOT serialized; re-attach after RestoreState.
+  /// Runtime-only state: NOT serialized; re-attach after a checkpoint load.
   void SetUserSlot(workload::JobId job, std::uint32_t user_slot);
 
   /// Sum of currently granted rates (GB/s). Maintained incrementally.
@@ -225,17 +239,18 @@ class StorageModel {
 
   sim::SimTime last_update() const { return last_update_; }
 
-  /// Serialize the full transfer set (dense-slot order), the FCFS arrival
-  /// order, the current BWmax (it may have been changed at runtime by a
-  /// degradation window), and the incrementally-maintained aggregates.
-  /// The aggregates are saved verbatim rather than recomputed on restore:
-  /// they carry accumulated float state, and resume-equivalence requires
-  /// the restored values to be bit-identical to the live ones. User slots
-  /// are runtime-only and excluded (the byte layout predates them).
-  void SaveState(ckpt::Writer& w) const;
-  /// Restore onto a model constructed from the same StorageConfig. Replaces
-  /// any current transfer set; user slots come back as kNoUserSlot.
-  void RestoreState(ckpt::Reader& r);
+  /// Save or load the full transfer set (dense-slot order), the FCFS
+  /// arrival order, the current BWmax (it may have been changed at runtime
+  /// by a degradation window), and the incrementally-maintained
+  /// aggregates. The aggregates are saved verbatim rather than recomputed
+  /// on restore: they carry accumulated float state, and resume-equivalence
+  /// requires the restored values to be bit-identical to the live ones.
+  /// User slots are runtime-only and excluded (the byte layout predates
+  /// them). A load replaces any current transfer set onto a model
+  /// constructed from the same StorageConfig; user slots come back as
+  /// kNoUserSlot.
+  template <class Ar>
+  void Serialize(Ar& ar);
 
  private:
   /// Dense slot of `job`; throws when absent.

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <map>
 #include <string>
 #include <string_view>
+#include <unordered_map>
+#include <vector>
 
 namespace iosched::ckpt {
 namespace {
@@ -75,7 +79,7 @@ TEST(Serializer, TruncatedReadThrowsWithContext) {
   try {
     (void)r.U64();
     FAIL() << "expected truncation error";
-  } catch (const std::runtime_error& e) {
+  } catch (const FormatError& e) {
     EXPECT_NE(std::string(e.what()).find("engine"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos);
   }
@@ -102,6 +106,103 @@ TEST(Serializer, ExpectEndThrowsOnTrailingBytes) {
   Reader r(w.buffer(), "test");
   (void)r.U32();
   EXPECT_THROW(r.ExpectEnd(), std::runtime_error);
+}
+
+TEST(Serializer, CountBeyondPayloadThrowsBeforeSizing) {
+  // A count of 2^20 with no elements behind it: the sequence helper must
+  // refuse it against the bytes left instead of sizing the container first.
+  Writer w;
+  w.U32(1u << 20);
+  Reader r(w.buffer(), "test");
+  std::vector<double> values;
+  EXPECT_THROW(r.Seq(values, [&r](double& v) { r.F64(v); }), FormatError);
+  EXPECT_EQ(values.capacity(), 0u);
+}
+
+TEST(Serializer, SequencesAndSortedMapsRoundTrip) {
+  std::vector<double> values = {1.5, -2.0, 0.25};
+  std::unordered_map<std::int64_t, int> counts = {{9, 1}, {-3, 2}, {4, 3}};
+  std::map<double, std::int64_t> by_factor = {{0.5, 7}, {0.25, 8}};
+  Writer w;
+  w.Seq(values, [&w](double& v) { w.F64(v); });
+  w.SortedMap(counts, [&w](std::int64_t, int& n) { w.I64(n); });
+  w.SortedMap(by_factor, [&w](double, std::int64_t& n) { w.I64(n); });
+
+  // The unordered map is written in ascending key order.
+  Reader raw(w.buffer(), "test");
+  raw.Raw(4 + 3 * 8);
+  EXPECT_EQ(raw.U32(), 3u);
+  EXPECT_EQ(raw.I64(), -3);
+
+  Reader r(w.buffer(), "test");
+  std::vector<double> values2;
+  std::unordered_map<std::int64_t, int> counts2;
+  std::map<double, std::int64_t> by_factor2;
+  r.Seq(values2, [&r](double& v) { r.F64(v); });
+  r.SortedMap(counts2, [&r](std::int64_t, int& n) { r.I64(n); });
+  r.SortedMap(by_factor2, [&r](double, std::int64_t& n) { r.I64(n); });
+  r.ExpectEnd();
+  EXPECT_EQ(values2, values);
+  EXPECT_EQ(counts2, counts);
+  EXPECT_EQ(by_factor2, by_factor);
+}
+
+TEST(Serializer, SortedMapRejectsARepeatedKey) {
+  Writer w;
+  w.U32(2);
+  for (int i = 0; i < 2; ++i) {
+    w.I64(5);
+    w.I64(i);
+  }
+  Reader r(w.buffer(), "test");
+  std::unordered_map<std::int64_t, int> map;
+  EXPECT_THROW(r.SortedMap(map, [&r](std::int64_t, int& v) { r.I64(v); }),
+               FormatError);
+}
+
+enum class Color : std::uint8_t { kRed, kGreen, kBlue };
+
+TEST(Serializer, EnumBeyondItsLastValueThrows) {
+  Writer w;
+  w.Enum(Color::kBlue, Color::kBlue);
+  w.U8(3);
+  Reader r(w.buffer(), "test");
+  Color c = Color::kRed;
+  r.Enum(c, Color::kBlue);
+  EXPECT_EQ(c, Color::kBlue);
+  EXPECT_THROW(r.Enum(c, Color::kBlue), FormatError);
+}
+
+TEST(Serializer, EventIdsMustBePendingAndJobsPresent) {
+  Writer w;
+  w.PendingEvent(0);
+  w.PendingEvent(7);
+  w.PendingEvent(8);
+  w.I64(42);
+  Reader r(w.buffer(), "test",
+           {.find_job = [](std::int64_t) { return nullptr; },
+            .is_pending = [](std::uint64_t id) { return id == 7; }});
+  std::uint64_t id = 99;
+  r.PendingEvent(id);
+  EXPECT_EQ(id, 0u);  // 0 names no event
+  r.PendingEvent(id);
+  EXPECT_EQ(id, 7u);
+  EXPECT_THROW(r.PendingEvent(id), FormatError);
+  EXPECT_THROW((void)r.FindJob(r.I64()), FormatError);
+}
+
+TEST(Serializer, RngStateRoundTrips) {
+  util::Rng rng(3, 5);
+  (void)rng.Normal(0.0, 1.0);  // leaves a Box-Muller spare behind
+  Writer w;
+  w.Rng(rng);
+  util::Rng restored(1);
+  Reader r(w.buffer(), "test");
+  r.Rng(restored);
+  r.ExpectEnd();
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(restored.Normal(0.0, 1.0), rng.Normal(0.0, 1.0));
+  }
 }
 
 TEST(Serializer, Crc32MatchesKnownVector) {

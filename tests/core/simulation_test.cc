@@ -102,7 +102,7 @@ TEST(Simulation, ResponseNeverBeatsUncongestedRuntime) {
     jobs.push_back(MakeJob(i + 1, i * 50.0, 512 << (i % 3), 500 + i * 10,
                            (i % 2) ? 200.0 : 0.0, (i % 2) ? 3 : 0));
   }
-  for (const std::string& policy :
+  for (const char* policy :
        {"BASE_LINE", "FCFS", "ADAPTIVE", "MIN_AGGR_SLD"}) {
     SimulationResult result = RunSimulation(SmallConfig(policy), jobs);
     ASSERT_EQ(result.records.size(), jobs.size()) << policy;

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "ckpt/checkpoint.h"
@@ -111,6 +112,15 @@ struct FactorChange {
   double factor;
   sim::SimTime time;
 };
+
+/// A faults-section reader whose event ids must be pending in `sim`.
+ckpt::Reader FaultsReader(const std::string& bytes,
+                          const sim::Simulator& sim) {
+  return ckpt::Reader(
+      bytes, "faults",
+      {.find_job = nullptr,
+       .is_pending = [&sim](std::uint64_t id) { return sim.IsPending(id); }});
+}
 
 class FaultInjectorTest : public ::testing::Test {
  protected:
@@ -261,18 +271,18 @@ TEST_F(FaultInjectorTest, MidOverlapCheckpointRestoresFactorTimeline) {
   victim.Arm();
   victim_sim.Run(250.0);
   ckpt::Writer sim_state;
-  victim_sim.SaveState(sim_state);
+  victim_sim.Serialize(sim_state);
   ckpt::Writer w;
-  victim.SaveState(w);
+  victim.Serialize(w);
   std::vector<FactorChange> prefix = factor_changes_;
 
   factor_changes_.clear();
   sim::Simulator resumed_sim;
   FaultInjector resumed(resumed_sim, plan, RecordingHooks());
   ckpt::Reader sim_reader(sim_state.buffer());
-  resumed_sim.RestoreState(sim_reader);
-  ckpt::Reader r(w.buffer());
-  resumed.RestoreState(r);
+  resumed_sim.Serialize(sim_reader);
+  ckpt::Reader r = FaultsReader(w.buffer(), resumed_sim);
+  resumed.Serialize(r);
   EXPECT_TRUE(r.AtEnd());
   EXPECT_DOUBLE_EQ(resumed.current_bandwidth_factor(), 0.25);
   resumed_sim.Run();
@@ -455,16 +465,16 @@ TEST_F(FaultInjectorTest, MtbfStateSurvivesCheckpointRoundTrip) {
   victim.OnJobStart(1, 5000.0);
   victim.OnJobStart(2, 5000.0);
   ckpt::Writer sim_state;
-  victim_sim.SaveState(sim_state);
+  victim_sim.Serialize(sim_state);
   ckpt::Writer w;
-  victim.SaveState(w);
+  victim.Serialize(w);
 
   sim::Simulator resumed_sim;
   FaultInjector resumed(resumed_sim, plan, hooks);
   ckpt::Reader sim_reader(sim_state.buffer());
-  resumed_sim.RestoreState(sim_reader);
-  ckpt::Reader r(w.buffer());
-  resumed.RestoreState(r);
+  resumed_sim.Serialize(sim_reader);
+  ckpt::Reader r = FaultsReader(w.buffer(), resumed_sim);
+  resumed.Serialize(r);
   EXPECT_TRUE(r.AtEnd());
   resumed_sim.Run();
   resumed.OnJobStart(3, 5000.0);
@@ -490,17 +500,17 @@ TEST_F(FaultInjectorTest, RestoreRejectsKillThatIsNotPending) {
   victim.OnJobStart(7, 1000.0);
   ASSERT_NO_THROW(victim_sim.RequirePending(kill, "test"));
   ckpt::Writer w;
-  victim.SaveState(w);
+  victim.Serialize(w);
   victim_sim.Cancel(kill);  // the sim section loses the event
   ckpt::Writer sim_state;
-  victim_sim.SaveState(sim_state);
+  victim_sim.Serialize(sim_state);
 
   sim::Simulator resumed_sim;
   FaultInjector resumed(resumed_sim, plan, RecordingHooks());
   ckpt::Reader sim_reader(sim_state.buffer());
-  resumed_sim.RestoreState(sim_reader);
-  ckpt::Reader r(w.buffer());
-  EXPECT_THROW(resumed.RestoreState(r), ckpt::FormatError);
+  resumed_sim.Serialize(sim_reader);
+  ckpt::Reader r = FaultsReader(w.buffer(), resumed_sim);
+  EXPECT_THROW(resumed.Serialize(r), ckpt::FormatError);
 }
 
 TEST_F(FaultInjectorTest, RestoreRejectsEdgeOutsideThePlan) {
@@ -510,18 +520,18 @@ TEST_F(FaultInjectorTest, RestoreRejectsEdgeOutsideThePlan) {
   FaultInjector victim(victim_sim, plan, RecordingHooks());
   victim.Arm();
   ckpt::Writer sim_state;
-  victim_sim.SaveState(sim_state);
+  victim_sim.Serialize(sim_state);
   ckpt::Writer w;
-  victim.SaveState(w);
+  victim.Serialize(w);
 
   // Restored against a plan without that window, the pending edges point
   // past the plan's end.
   sim::Simulator resumed_sim;
   FaultInjector resumed(resumed_sim, FaultPlan{}, RecordingHooks());
   ckpt::Reader sim_reader(sim_state.buffer());
-  resumed_sim.RestoreState(sim_reader);
-  ckpt::Reader r(w.buffer());
-  EXPECT_THROW(resumed.RestoreState(r), ckpt::FormatError);
+  resumed_sim.Serialize(sim_reader);
+  ckpt::Reader r = FaultsReader(w.buffer(), resumed_sim);
+  EXPECT_THROW(resumed.Serialize(r), ckpt::FormatError);
 }
 
 TEST_F(FaultInjectorTest, MissingHooksThrow) {

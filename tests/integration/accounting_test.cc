@@ -14,7 +14,7 @@ TEST(Accounting, UtilizationMatchesRecordReconstruction) {
   driver::Scenario scenario =
       driver::MakeTestScenario(21, /*duration_days=*/1.0,
                                /*jobs_per_day=*/200.0);
-  for (const std::string& policy : {"BASE_LINE", "ADAPTIVE", "MAX_UTIL"}) {
+  for (const char* policy : {"BASE_LINE", "ADAPTIVE", "MAX_UTIL"}) {
     core::SimulationConfig config = scenario.config;
     config.policy = policy;
     config.warmup_fraction = 0.0;

@@ -76,8 +76,8 @@ void PrintTo(const Case& c, std::ostream* os) { *os << CaseSlug(c); }
 
 INSTANTIATE_TEST_SUITE_P(
     Policies, PolicyWorkloadSweep, ::testing::ValuesIn(AllCases()),
-    [](const ::testing::TestParamInfo<Case>& info) {
-      return CaseSlug(info.param);
+    [](const ::testing::TestParamInfo<Case>& param_info) {
+      return CaseSlug(param_info.param);
     });
 
 TEST(EndToEnd, IoAwarePoliciesImproveWaitOnEvaluationMonth) {

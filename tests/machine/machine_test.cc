@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "ckpt/serializer.h"
 #include "util/rng.h"
 
 namespace iosched::machine {
@@ -365,6 +366,25 @@ TEST(Machine, ReleaseMaskChecksLikeRelease) {
   EXPECT_EQ(wide[1], (std::uint64_t{1} << 32) - 1);
   EXPECT_TRUE(big.CanAllocateReleasing(32768, wide));
   EXPECT_FALSE(big.CanAllocate(512));
+}
+
+TEST(Machine, CheckpointRoundTripsAndRejectsAnotherGeometry) {
+  Machine mira(MachineConfig::Mira());
+  ASSERT_TRUE(mira.Allocate(16384).has_value());
+  ASSERT_TRUE(mira.Allocate(512).has_value());
+  ckpt::Writer w;
+  mira.Serialize(w);
+  Machine copy(MachineConfig::Mira());
+  ckpt::Reader r(w.buffer(), "machine");
+  copy.Serialize(r);
+  r.ExpectEnd();
+  EXPECT_EQ(copy.occupancy(), mira.occupancy());
+  EXPECT_EQ(copy.busy_nodes(), mira.busy_nodes());
+  EXPECT_EQ(copy.busy_midplanes(), mira.busy_midplanes());
+
+  Machine small(MachineConfig::Small());  // one occupancy word, not two
+  ckpt::Reader other(w.buffer(), "machine");
+  EXPECT_THROW(small.Serialize(other), ckpt::FormatError);
 }
 
 }  // namespace

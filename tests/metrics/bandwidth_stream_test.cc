@@ -223,17 +223,17 @@ TEST(BandwidthStream, SaveAndRestoreMidStreamEqualsUninterruptedRun) {
     BandwidthTracker first(100.0, keep);
     for (std::size_t i = 0; i < cut; ++i) first.Record(series[i]);
     ckpt::Writer state;
-    first.SaveState(state);
+    first.Serialize(state);
     ckpt::Writer samples;
-    if (keep) first.SaveSamples(samples);
+    if (keep) first.SerializeSamples(samples);
 
     BandwidthTracker resumed(100.0, keep);
     ckpt::Reader state_reader(state.buffer(), "bandwidth");
-    resumed.RestoreState(state_reader);
+    resumed.Serialize(state_reader);
     state_reader.ExpectEnd();
     if (keep) {
       ckpt::Reader samples_reader(samples.buffer(), "bandwidth_samples");
-      resumed.RestoreSamples(samples_reader);
+      resumed.SerializeSamples(samples_reader);
       samples_reader.ExpectEnd();
     }
     for (std::size_t i = cut; i < series.size(); ++i) {
@@ -255,12 +255,12 @@ TEST(BandwidthStream, SaveAndRestoreMidStreamEqualsUninterruptedRun) {
 TEST(BandwidthStream, StateSizeIsIndependentOfRunLength) {
   BandwidthTracker tracker(100.0, /*keep_samples=*/false);
   ckpt::Writer empty;
-  tracker.SaveState(empty);
+  tracker.Serialize(empty);
   for (int i = 0; i < 10000; ++i) {
     tracker.Record(Sample(i, (i % 7) * 40.0, 20.0));
   }
   ckpt::Writer full;
-  tracker.SaveState(full);
+  tracker.Serialize(full);
   EXPECT_EQ(full.buffer().size(), empty.buffer().size());
   EXPECT_LT(full.buffer().size(), 200u);
   EXPECT_TRUE(tracker.samples().empty());
@@ -278,10 +278,10 @@ TEST(BandwidthStream, SampleSeriesMustMatchTheSummaryState) {
   source.Record(Sample(0, 50, 50));
   source.Record(Sample(10, 150, 100));
   ckpt::Writer samples;
-  source.SaveSamples(samples);
+  source.SerializeSamples(samples);
   BandwidthTracker fresh(100.0);  // summary state says: no samples
   ckpt::Reader reader(samples.buffer(), "bandwidth_samples");
-  EXPECT_THROW(fresh.RestoreSamples(reader), std::runtime_error);
+  EXPECT_THROW(fresh.SerializeSamples(reader), ckpt::FormatError);
 }
 
 }  // namespace

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <deque>
+#include <string>
 
+#include "ckpt/serializer.h"
 #include "machine/machine.h"
 
 namespace iosched::sched {
@@ -280,6 +283,45 @@ TEST_F(BatchSchedulerTest, BackoffDoesNotBlockOtherJobs) {
   EXPECT_EQ(decisions[0].job->id, 2);
   EXPECT_DOUBLE_EQ(sched.NextEligibleTime(11.0), 310.0);
   EXPECT_DOUBLE_EQ(sched.NextEligibleTime(400.0), sim::kTimeInfinity);
+}
+
+TEST_F(BatchSchedulerTest, CheckpointRejectsAJobRunningTwice) {
+  BatchScheduler sched(machine_, {});
+  sched.Submit(*MakeJob(1, 0, 1024, 3600));
+  sched.Submit(*MakeJob(2, 0, 4096, 3600));
+  ASSERT_EQ(sched.Schedule(0).size(), 1u);
+  ckpt::Writer w;
+  sched.Serialize(w);
+  const ckpt::Reader::Links links{
+      .find_job =
+          [this](std::int64_t id) -> const workload::Job* {
+        for (const workload::Job& job : jobs_) {
+          if (job.id == id) return &job;
+        }
+        return nullptr;
+      },
+      .is_pending = nullptr};
+
+  machine::Machine machine2(machine::MachineConfig::Small());
+  BatchScheduler copy(machine2, {});
+  ckpt::Reader r(w.buffer(), "batch", links);
+  copy.Serialize(r);
+  r.ExpectEnd();
+  EXPECT_EQ(copy.queue_size(), 1u);
+  ASSERT_EQ(copy.running_count(), 1u);
+  EXPECT_EQ(copy.running()[0].job->id, 1);
+
+  // The queue holds one id (4 + 8 bytes); the running entry after the
+  // running count is 48 bytes. Saving it twice names job 1 twice.
+  std::string bytes = w.buffer();
+  const std::size_t count_at = 4 + 8;
+  const std::size_t entry_at = count_at + 4;
+  bytes[count_at] = 2;
+  bytes.insert(entry_at, bytes.substr(entry_at, 48));
+  machine::Machine machine3(machine::MachineConfig::Small());
+  BatchScheduler twice(machine3, {});
+  ckpt::Reader bad(bytes, "batch", links);
+  EXPECT_THROW(twice.Serialize(bad), ckpt::FormatError);
 }
 
 }  // namespace

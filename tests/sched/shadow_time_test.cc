@@ -221,14 +221,17 @@ TEST_P(ShadowTimeSweep, MatchesCopySortReleaseReference) {
     if (step % 50 == 49) {
       // Checkpoint round trip; the run continues on the restored copy.
       ckpt::Writer w;
-      machine->SaveState(w);
-      sched->SaveState(w);
+      machine->Serialize(w);
+      sched->Serialize(w);
       auto machine2 = std::make_unique<machine::Machine>(config);
       auto sched2 = std::make_unique<BatchScheduler>(*machine2, options);
-      ckpt::Reader r(w.buffer(), "shadow test");
-      machine2->RestoreState(r);
-      sched2->RestoreState(
-          r, [&jobs](workload::JobId id) { return jobs.Find(id); });
+      ckpt::Reader r(w.buffer(), "shadow test",
+                     {.find_job = [&jobs](std::int64_t id) {
+                        return jobs.Find(id);
+                      },
+                      .is_pending = nullptr});
+      machine2->Serialize(r);
+      sched2->Serialize(r);
       for (const workload::Job* head : heads) {
         ASSERT_EQ(sched2->ShadowTime(*head, now),
                   sched->ShadowTime(*head, now));

@@ -24,9 +24,10 @@ std::vector<workload::Job> MakeJobPool(std::size_t count, std::uint64_t seed) {
     j.id = static_cast<workload::JobId>(i + 1);
     // Coarse submit times force frequent (submit_time, id) ties; a handful
     // of walltime/node combinations force frequent score ties under WFP.
-    j.submit_time = 100.0 * rng.UniformInt(0, 40);
-    j.nodes = 512 << rng.UniformInt(0, 3);
-    j.requested_walltime = 600.0 * (1 + rng.UniformInt(0, 5));
+    j.submit_time = 100.0 * static_cast<double>(rng.UniformInt(0, 40));
+    j.nodes = 512 << static_cast<int>(rng.UniformInt(0, 3));
+    j.requested_walltime =
+        600.0 * static_cast<double>(1 + rng.UniformInt(0, 5));
     j.phases = {workload::Phase::Compute(100.0)};
   }
   return pool;
@@ -47,7 +48,7 @@ void RunEquivalence(QueueOrder order, std::uint64_t seed) {
 
   for (int step = 0; step < 600; ++step) {
     now += rng.Uniform(0.0, 300.0);
-    int op = rng.UniformInt(0, 9);
+    int op = static_cast<int>(rng.UniformInt(0, 9));
     if (op < 5 || mirror.empty()) {
       // Arrival: queue a random job that is not currently waiting.
       std::size_t pick = static_cast<std::size_t>(

@@ -186,13 +186,13 @@ TEST(Simulator, CheckpointRoundTripsPendingEvents) {
   s.Cancel(cancelled);
   s.Run(2.0);
   ckpt::Writer w;
-  s.SaveState(w);
+  s.Serialize(w);
 
   Simulator restored;
   Recorder after;
   restored.SetHandler(kRecorderOwner, &after, kRecorderKinds);
   ckpt::Reader r(w.buffer(), "sim");
-  restored.RestoreState(r);
+  restored.Serialize(r);
   r.ExpectEnd();
   EXPECT_DOUBLE_EQ(restored.Now(), 1.0);
   EXPECT_EQ(restored.processed_events(), 1u);
@@ -202,7 +202,7 @@ TEST(Simulator, CheckpointRoundTripsPendingEvents) {
 
   // The restored queue saves the same bytes and finishes the same way.
   ckpt::Writer again;
-  restored.SaveState(again);
+  restored.Serialize(again);
   EXPECT_EQ(again.buffer(), w.buffer());
   s.Run();
   restored.Run();
@@ -244,7 +244,7 @@ void Restore(const std::string& section) {
   Recorder recorder;
   s.SetHandler(kRecorderOwner, &recorder, kRecorderKinds);
   ckpt::Reader r(section, "sim");
-  s.RestoreState(r);
+  s.Serialize(r);
 }
 
 TEST(SimulatorRestore, AcceptsAWellFormedSection) {

@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "ckpt/serializer.h"
+
 namespace iosched::storage {
 namespace {
 
@@ -394,6 +396,28 @@ TEST(StorageModel, ShrinkMovesNextCompletionLater) {
   auto after = sm.NextCompletion();
   ASSERT_TRUE(after.has_value());
   EXPECT_DOUBLE_EQ(after->first, 8.0);  // 2 + 60/10
+}
+
+TEST(StorageModel, CheckpointRejectsAnArrivalSlotPastTheTransfers) {
+  StorageModel sm(Cfg());
+  sm.Begin(1, 512, 16.0, 100.0, 0.0);
+  sm.Begin(2, 512, 16.0, 100.0, 1.0);
+  sm.SetRate(2, 8.0);
+  ckpt::Writer w;
+  sm.Serialize(w);
+  StorageModel copy(Cfg());
+  ckpt::Reader r(w.buffer(), "storage");
+  copy.Serialize(r);
+  r.ExpectEnd();
+  EXPECT_DOUBLE_EQ(copy.Get(2).rate_gbps, 8.0);  // the id index is rebuilt
+  EXPECT_DOUBLE_EQ(copy.TotalAssignedRate(), sm.TotalAssignedRate());
+
+  // The file ends with the arrival order's dense slots, one u32 each.
+  std::string bytes = w.buffer();
+  bytes[bytes.size() - 4] = 2;  // slot 2 of 2 transfers
+  StorageModel damaged(Cfg());
+  ckpt::Reader bad(bytes, "storage");
+  EXPECT_THROW(damaged.Serialize(bad), ckpt::FormatError);
 }
 
 }  // namespace

@@ -36,10 +36,10 @@ TEST(RunningStats, MatchesNaiveComputation) {
     s.Add(v);
     sum += v;
   }
-  double mean = sum / values.size();
+  double mean = sum / static_cast<double>(values.size());
   double ss = 0.0;
   for (double v : values) ss += (v - mean) * (v - mean);
-  double var = ss / (values.size() - 1);
+  double var = ss / static_cast<double>(values.size() - 1);
   EXPECT_NEAR(s.mean(), mean, 1e-12);
   EXPECT_NEAR(s.variance(), var, 1e-12);
   EXPECT_DOUBLE_EQ(s.min(), -2.0);
@@ -178,13 +178,13 @@ TEST_P(StatsSizeSweep, WelfordMatchesTwoPass) {
   }
   double sum = 0.0;
   for (double v : values) sum += v;
-  double mean = sum / values.size();
+  double mean = sum / static_cast<double>(values.size());
   double ss = 0.0;
   for (double v : values) ss += (v - mean) * (v - mean);
   EXPECT_GE(s.variance(), 0.0);
   EXPECT_NEAR(s.mean(), mean, std::abs(mean) * 1e-10);
   if (values.size() > 1) {
-    double var = ss / (values.size() - 1);
+    double var = ss / static_cast<double>(values.size() - 1);
     EXPECT_NEAR(s.variance(), var, var * 1e-8);
   }
 }

@@ -65,7 +65,8 @@ TEST(RenumberTest, DenseIdsInSubmitOrder) {
   Workload renumbered = Renumber(jobs);
   for (std::size_t i = 0; i < renumbered.size(); ++i) {
     EXPECT_EQ(renumbered[i].id, static_cast<JobId>(i + 1));
-    EXPECT_DOUBLE_EQ(renumbered[i].submit_time, i * 100.0);
+    EXPECT_DOUBLE_EQ(renumbered[i].submit_time,
+                     static_cast<double>(i) * 100.0);
   }
   // Input untouched.
   EXPECT_EQ(jobs.front().id, 109);
