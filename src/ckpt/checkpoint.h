@@ -5,8 +5,10 @@
 //   format_version   u32      bumped on any incompatible layout change,
 //                             and when the config hash's algorithm
 //                             changes (v5: word-wide workload
-//                             fingerprint), so an old file fails as
-//                             VersionError rather than a config mismatch
+//                             fingerprint; v7: a phase is two words and
+//                             provenance enters as integer ids), so an
+//                             old file fails as VersionError rather than
+//                             a config mismatch
 //   config_hash      u64      core::SimulationConfigHash: the run
 //                             configuration + workload fingerprint; a
 //                             resume against a different config must
@@ -40,7 +42,7 @@
 namespace iosched::ckpt {
 
 inline constexpr std::string_view kMagic = "IOSCKPT1";
-inline constexpr std::uint32_t kFormatVersion = 6;
+inline constexpr std::uint32_t kFormatVersion = 7;
 
 /// In-memory checkpoint: named binary sections plus the config hash.
 /// Built section-by-section on save; fully decoded and CRC-verified on

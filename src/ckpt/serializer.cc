@@ -10,22 +10,22 @@ namespace iosched::ckpt {
 void Writer::U32(std::uint32_t v) {
   char raw[4];
   for (int i = 0; i < 4; ++i) raw[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  buffer_.append(raw, 4);
+  Put(raw, 4);
 }
 
 void Writer::U64(std::uint64_t v) {
   char raw[8];
   for (int i = 0; i < 8; ++i) raw[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  buffer_.append(raw, 8);
+  Put(raw, 8);
 }
 
 void Writer::Str(std::string_view s) {
   U32(static_cast<std::uint32_t>(s.size()));
-  buffer_.append(s.data(), s.size());
+  Put(s.data(), s.size());
 }
 
 void Writer::Bytes(const void* data, std::size_t size) {
-  buffer_.append(static_cast<const char*>(data), size);
+  Put(static_cast<const char*>(data), size);
 }
 
 Reader::Reader(std::string_view data, std::string context, Links links)

@@ -69,12 +69,27 @@ void RngFields(Ar& ar, util::Rng::State& s) {
   ar.F64(s.spare);
 }
 
-/// The saving archive: each field call appends the value it is given.
+/// The saving archive: each field call appends the value it is given. A
+/// size-only writer runs the same calls but stores nothing and only counts
+/// the bytes, so EncodeExact can allocate a section's buffer once.
 class Writer {
  public:
   static constexpr bool kLoading = false;
 
-  void U8(std::uint8_t v) { buffer_.push_back(static_cast<char>(v)); }
+  Writer() = default;
+  /// A writer whose buffer starts with room for `capacity` bytes.
+  explicit Writer(std::size_t capacity) { buffer_.reserve(capacity); }
+  /// A writer that counts the bytes the field calls would append.
+  static Writer SizeOnly() {
+    Writer w;
+    w.size_only_ = true;
+    return w;
+  }
+
+  void U8(std::uint8_t v) {
+    const char c = static_cast<char>(v);
+    Put(&c, 1);
+  }
   void Bool(bool v) { U8(v ? 1 : 0); }
   void U32(std::uint32_t v);
   /// A narrower or wider integer stored as 32 bits (a dense slot index).
@@ -130,10 +145,20 @@ class Writer {
     I64(job->id);
   }
 
+  /// Bytes written (or, size-only, counted) so far.
+  std::size_t size() const { return size_only_ ? counted_ : buffer_.size(); }
   const std::string& buffer() const { return buffer_; }
   std::string TakeBuffer() { return std::move(buffer_); }
 
  private:
+  void Put(const char* data, std::size_t size) {
+    if (size_only_) {
+      counted_ += size;
+    } else {
+      buffer_.append(data, size);
+    }
+  }
+
   template <class K>
   void Key(K key) {
     if constexpr (std::is_floating_point_v<K>) {
@@ -144,7 +169,27 @@ class Writer {
   }
 
   std::string buffer_;
+  bool size_only_ = false;
+  std::size_t counted_ = 0;
 };
+
+/// The bytes `serialize(writer)` writes, in a buffer allocated once at its
+/// exact size: a size-only pass over the same calls counts them first.
+/// Throws std::logic_error if the two passes disagree.
+template <class Fn>
+std::string EncodeExact(Fn&& serialize) {
+  Writer counter = Writer::SizeOnly();
+  serialize(counter);
+  Writer writer(counter.size());
+  serialize(writer);
+  if (writer.size() != counter.size()) {
+    throw std::logic_error("checkpoint: the size-only pass counted " +
+                           std::to_string(counter.size()) +
+                           " bytes, the write " +
+                           std::to_string(writer.size()));
+  }
+  return writer.TakeBuffer();
+}
 
 /// The loading archive: a bounds-checked reader over a serialized payload.
 /// Each field call reads into its argument; the value-returning calls read

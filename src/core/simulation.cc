@@ -581,19 +581,18 @@ class Engine : private sim::EventHandler {
       const workload::Phase& phase = state.job->phases[state.next_phase];
       ++state.next_phase;
       if (phase.kind == workload::PhaseKind::kCompute) {
-        if (phase.compute_seconds <= 0) continue;  // empty phase: skip
+        if (phase.amount <= 0) continue;  // empty phase: skip
         state.compute_event =
-            simulator_.ScheduleAt(now + phase.compute_seconds, kEventOwner,
-                                  kComputeDone, id, phase.compute_seconds);
+            simulator_.ScheduleAt(now + phase.amount, kEventOwner,
+                                  kComputeDone, id, phase.amount);
         return;
       }
       // I/O phase.
-      if (phase.io_volume_gb <= util::kVolumeEpsilon) continue;
+      if (phase.amount <= util::kVolumeEpsilon) continue;
       state.io_request_start = now;
       state.in_io = true;
-      Log(SchedEventKind::kIoRequest, id, phase.io_volume_gb);
-      io_scheduler_.SubmitRequest(id, phase.io_volume_gb, now,
-                                  phase.is_flush);
+      Log(SchedEventKind::kIoRequest, id, phase.amount);
+      io_scheduler_.SubmitRequest(id, phase.amount, now, phase.is_flush);
       return;
     }
   }
@@ -883,10 +882,7 @@ class Engine : private sim::EventHandler {
     file.SetConfigHash(ConfigHash());
     ForEachSection([&file](const char* name, bool held, bool /*report*/,
                            auto serialize) {
-      if (!held) return;
-      ckpt::Writer w;
-      serialize(w);
-      file.AddSection(name, w.TakeBuffer());
+      if (held) file.AddSection(name, ckpt::EncodeExact(serialize));
     });
     return file;
   }

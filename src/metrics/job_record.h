@@ -7,11 +7,11 @@
 
 namespace iosched::metrics {
 
+/// The doubles come first and the ints and flags after them, so the record
+/// packs into 104 bytes (a year replay keeps a million). Digests and
+/// checkpoints visit the fields by name, not in declaration order.
 struct JobRecord {
   workload::JobId id = 0;
-  int requested_nodes = 0;
-  /// Nodes in the granted partition (>= requested: internal fragmentation).
-  int allocated_nodes = 0;
   double submit_time = 0.0;
   double start_time = 0.0;
   double end_time = 0.0;
@@ -22,26 +22,29 @@ struct JobRecord {
   double io_time_actual = 0.0;
   /// Seconds I/O would have taken at full rate b*N.
   double io_time_uncongested = 0.0;
-  int io_phase_count = 0;
-  /// True when the scheduler killed the job at its requested walltime
-  /// (enforce_walltime mode) instead of the job completing its phases.
-  bool killed = false;
-  /// Execution attempts consumed (1 = no fault kill; >1 = requeued after
-  /// fault kills). start/end/io times describe the final attempt.
-  int attempts = 1;
-  /// True when the job exhausted its retry budget and never completed; the
-  /// record then describes the last failed attempt.
-  bool abandoned = false;
   /// Machine time burned by failed attempts (start-to-kill, summed).
   double lost_seconds = 0.0;
-  /// Checkpoint flushes completed across all attempts (checkpoint-traffic
-  /// workloads only; 0 otherwise).
-  int flush_count = 0;
   /// Simulated seconds of progress discarded by failures — per failed
   /// attempt, the span from the attempt's last restart anchor (job start,
   /// last completed phase, or last durable flush, by restart mode) to the
   /// kill, summed. The work a restart must redo.
   double rework_seconds = 0.0;
+  int requested_nodes = 0;
+  /// Nodes in the granted partition (>= requested: internal fragmentation).
+  int allocated_nodes = 0;
+  int io_phase_count = 0;
+  /// Execution attempts consumed (1 = no fault kill; >1 = requeued after
+  /// fault kills). start/end/io times describe the final attempt.
+  int attempts = 1;
+  /// Checkpoint flushes completed across all attempts (checkpoint-traffic
+  /// workloads only; 0 otherwise).
+  int flush_count = 0;
+  /// True when the scheduler killed the job at its requested walltime
+  /// (enforce_walltime mode) instead of the job completing its phases.
+  bool killed = false;
+  /// True when the job exhausted its retry budget and never completed; the
+  /// record then describes the last failed attempt.
+  bool abandoned = false;
 
   double WaitTime() const { return start_time - submit_time; }
   double ResponseTime() const { return end_time - submit_time; }
@@ -56,6 +59,7 @@ struct JobRecord {
                                    : 1.0;
   }
 };
+static_assert(sizeof(void*) != 8 || sizeof(JobRecord) == 104);
 
 using JobRecords = std::vector<JobRecord>;
 

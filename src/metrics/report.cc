@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <ostream>
 #include <sstream>
+#include <utility>
 
 #include "util/csv.h"
 #include "util/stats.h"
@@ -82,8 +83,8 @@ Report Summarize(const JobRecords& records, const UtilizationTracker& util,
     report.makespan_seconds = last_end - first_submit;
     return report;
   }
-  util::Summary wait_summary(waits);
-  util::Summary response_summary(responses);
+  util::Summary wait_summary(std::move(waits));
+  util::Summary response_summary(std::move(responses));
   report.avg_wait_seconds = wait_summary.mean();
   report.avg_response_seconds = response_summary.mean();
   report.p90_wait_seconds = wait_summary.p90();

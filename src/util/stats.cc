@@ -5,6 +5,7 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 namespace iosched::util {
 
@@ -52,7 +53,9 @@ double RunningStats::variance() const {
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 Summary::Summary(std::span<const double> values)
-    : sorted_(values.begin(), values.end()) {
+    : Summary(std::vector<double>(values.begin(), values.end())) {}
+
+Summary::Summary(std::vector<double>&& values) : sorted_(std::move(values)) {
   std::sort(sorted_.begin(), sorted_.end());
   if (!sorted_.empty()) {
     double s = 0.0;

@@ -45,11 +45,14 @@ class RunningStats {
   RunningStats();
 };
 
-/// Batch summary: quantiles over a copy of the sample (nearest-rank with
-/// linear interpolation, the "type 7" estimator used by R/numpy).
+/// Batch summary: quantiles over a sorted copy of the sample (nearest-rank
+/// with linear interpolation, the "type 7" estimator used by R/numpy).
 class Summary {
  public:
   explicit Summary(std::span<const double> values);
+  /// Takes the sample and sorts it in place (no copy); the statistics are
+  /// bit-identical to the span constructor's.
+  explicit Summary(std::vector<double>&& values);
 
   std::size_t count() const { return sorted_.size(); }
   double mean() const { return mean_; }

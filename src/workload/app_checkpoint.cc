@@ -94,7 +94,7 @@ void ApplyCheckpointTraffic(Workload& workload,
         rewritten.push_back(phase);
         continue;
       }
-      double remaining = phase.compute_seconds;
+      double remaining = phase.compute_seconds();
       while (since_flush + remaining >= tau + kSplitEpsilonSeconds) {
         // Compute still owed before the boundary. A boundary carried over
         // from an earlier phase (it would have abutted the application's

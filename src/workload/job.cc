@@ -6,17 +6,13 @@ namespace iosched::workload {
 
 double Job::TotalComputeSeconds() const {
   double total = 0.0;
-  for (const Phase& p : phases) {
-    if (p.kind == PhaseKind::kCompute) total += p.compute_seconds;
-  }
+  for (const Phase& p : phases) total += p.compute_seconds();
   return total;
 }
 
 double Job::TotalIoVolumeGb() const {
   double total = 0.0;
-  for (const Phase& p : phases) {
-    if (p.kind == PhaseKind::kIo) total += p.io_volume_gb;
-  }
+  for (const Phase& p : phases) total += p.io_volume_gb();
   return total;
 }
 
@@ -47,7 +43,7 @@ double Job::IoFraction(double node_bandwidth_gbps) const {
 void Job::ScaleIoVolume(double factor) {
   if (factor < 0) throw std::invalid_argument("ScaleIoVolume: negative factor");
   for (Phase& p : phases) {
-    if (p.kind == PhaseKind::kIo) p.io_volume_gb *= factor;
+    if (p.kind == PhaseKind::kIo) p.amount *= factor;
   }
 }
 
@@ -61,11 +57,9 @@ std::string Job::Validate() const {
   if (phases.empty()) return "no phases";
   for (std::size_t i = 0; i < phases.size(); ++i) {
     const Phase& p = phases[i];
-    if (p.kind == PhaseKind::kCompute && p.compute_seconds < 0) {
-      return "negative compute duration";
-    }
-    if (p.kind == PhaseKind::kIo && p.io_volume_gb < 0) {
-      return "negative I/O volume";
+    if (p.amount < 0) {
+      return p.kind == PhaseKind::kCompute ? "negative compute duration"
+                                           : "negative I/O volume";
     }
     if (i > 0 && phases[i - 1].kind == p.kind) {
       return "phases do not alternate";

@@ -15,15 +15,16 @@ namespace iosched::workload {
 
 using JobId = std::int64_t;
 
-enum class PhaseKind { kCompute, kIo };
+enum class PhaseKind : std::uint8_t { kCompute, kIo };
 
-/// One phase of a job's lifecycle.
+/// One phase of a job's lifecycle: an amount (seconds of computation or GB
+/// of I/O, by kind) and the flush flag, 16 bytes. Read the amount through
+/// compute_seconds()/io_volume_gb(), which return 0 for the other kind.
 struct Phase {
+  /// Duration in seconds for a compute phase; data to transfer in GB for
+  /// an I/O phase.
+  double amount = 0.0;
   PhaseKind kind = PhaseKind::kCompute;
-  /// Duration in seconds (compute phases only).
-  double compute_seconds = 0.0;
-  /// Data to transfer in GB (I/O phases only).
-  double io_volume_gb = 0.0;
   /// True for defensive checkpoint flushes emitted by the checkpoint-traffic
   /// generator (see workload/app_checkpoint.h). Flush phases are I/O phases
   /// the scheduler may defer under congestion and that establish restart
@@ -31,16 +32,20 @@ struct Phase {
   /// this. The workload fingerprint always mixes it.
   bool is_flush = false;
 
+  double compute_seconds() const {
+    return kind == PhaseKind::kCompute ? amount : 0.0;
+  }
+  double io_volume_gb() const { return kind == PhaseKind::kIo ? amount : 0.0; }
+
   static Phase Compute(double seconds) {
-    return Phase{PhaseKind::kCompute, seconds, 0.0};
+    return Phase{seconds, PhaseKind::kCompute};
   }
-  static Phase Io(double volume_gb) {
-    return Phase{PhaseKind::kIo, 0.0, volume_gb};
-  }
+  static Phase Io(double volume_gb) { return Phase{volume_gb, PhaseKind::kIo}; }
   static Phase Flush(double volume_gb) {
-    return Phase{PhaseKind::kIo, 0.0, volume_gb, /*is_flush=*/true};
+    return Phase{volume_gb, PhaseKind::kIo, /*is_flush=*/true};
   }
 };
+static_assert(sizeof(Phase) == 16);
 
 /// A batch job as it appears in the paired (job + I/O) trace.
 struct Job {
@@ -59,9 +64,10 @@ struct Job {
   /// saturate their injection links). The job's full I/O rate is
   /// b * io_efficiency * N_i.
   double io_efficiency = 1.0;
-  /// Optional provenance (trace user and project/group ids).
-  std::string user;
-  std::string project;
+  /// Optional provenance: the trace's user and project (SWF group) ids,
+  /// -1 when unknown. The simulation never reads them.
+  std::int32_t user_id = -1;
+  std::int32_t project_id = -1;
 
   /// Sum of compute-phase durations.
   double TotalComputeSeconds() const;
@@ -91,5 +97,9 @@ struct Job {
 /// `io_phases` equal compute chunks each followed by an equal I/O chunk.
 std::vector<Phase> MakeUniformPhases(double total_compute_seconds,
                                      double total_io_volume_gb, int io_phases);
+
+// The year replay holds a million of these: keep the layout from growing
+// unnoticed (LP64).
+static_assert(sizeof(void*) != 8 || sizeof(Job) == 72);
 
 }  // namespace iosched::workload

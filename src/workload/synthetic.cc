@@ -90,15 +90,13 @@ Workload GenerateWorkload(const SyntheticConfig& config, std::uint64_t seed) {
     job.requested_walltime =
         std::min(walltime, config.max_runtime_seconds * 1.5);
 
-    int user = static_cast<int>(
+    job.user_id = static_cast<std::int32_t>(
         rng.UniformInt(0, std::max(1, config.user_count) - 1));
-    int project = static_cast<int>(
+    job.project_id = static_cast<std::int32_t>(
         rng.UniformInt(0, std::max(1, config.project_count) - 1));
-    job.user = std::string("u").append(std::to_string(user));
-    job.project = std::string("p").append(std::to_string(project));
 
     const IoIntensityBand& band =
-        config.io_bands[project_band[static_cast<std::size_t>(project)]];
+        config.io_bands[project_band[static_cast<std::size_t>(job.project_id)]];
     job.io_efficiency =
         rng.Uniform(config.io_efficiency_lo, config.io_efficiency_hi);
     double full_rate = job.FullIoRate(config.node_bandwidth_gbps);

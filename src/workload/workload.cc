@@ -3,12 +3,27 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <unordered_map>
 
-#include "util/strings.h"
-
 namespace iosched::workload {
+
+namespace {
+
+/// An SWF user or group id as a provenance id: a negative one (SWF's -1
+/// for "missing") is unknown (-1); one outside int32 throws.
+std::int32_t ProvenanceId(std::int64_t id, const char* what, JobId job) {
+  if (id < std::numeric_limits<std::int32_t>::min() ||
+      id > std::numeric_limits<std::int32_t>::max()) {
+    throw std::runtime_error("PairTraces: job " + std::to_string(job) + " " +
+                             what + " id " + std::to_string(id) +
+                             " is outside int32");
+  }
+  return id < 0 ? -1 : static_cast<std::int32_t>(id);
+}
+
+}  // namespace
 
 Workload PairTraces(const SwfTrace& jobs, const IoTrace& io,
                     const PairingOptions& options) {
@@ -35,12 +50,8 @@ Workload PairTraces(const SwfTrace& jobs, const IoTrace& io,
                                                        : r.requested_procs);
     job.requested_walltime = r.requested_time > 0 ? r.requested_time
                                                   : r.run_time;
-    if (r.user_id >= 0) {
-      job.user = std::string("u").append(std::to_string(r.user_id));
-    }
-    if (r.group_id >= 0) {
-      job.project = std::string("g").append(std::to_string(r.group_id));
-    }
+    job.user_id = ProvenanceId(r.user_id, "user", job.id);
+    job.project_id = ProvenanceId(r.group_id, "group", job.id);
 
     double link_rate = options.node_bandwidth_gbps * job.nodes;
     auto it = by_id.find(job.id);
@@ -136,11 +147,8 @@ SwfTrace ToSwf(const Workload& workload, double node_bandwidth_gbps) {
     r.requested_procs = job.nodes;
     r.requested_time = job.requested_walltime;
     r.status = 1;
-    if (!job.user.empty() && job.user[0] == 'u') {
-      if (auto id = util::ParseInt(std::string_view(job.user).substr(1))) {
-        r.user_id = *id;
-      }
-    }
+    r.user_id = job.user_id;
+    r.group_id = job.project_id;
     trace.records.push_back(r);
   }
   return trace;
@@ -191,21 +199,6 @@ class WordHasher {
 
   void Double(double value) { Word(std::bit_cast<std::uint64_t>(value)); }
 
-  /// The length, then the bytes in little-endian 8-byte chunks (the last
-  /// one zero-padded; the length keeps padding apart from NUL bytes).
-  void Text(const std::string& text) {
-    Word(text.size());
-    std::uint64_t chunk = 0;
-    for (std::size_t i = 0; i < text.size(); ++i) {
-      chunk |= std::uint64_t{static_cast<unsigned char>(text[i])}
-               << (8 * (i % 8));
-      if (i % 8 == 7 || i + 1 == text.size()) {
-        Word(chunk);
-        chunk = 0;
-      }
-    }
-  }
-
   /// Chains the lanes, the words of the partial block and the word count
   /// through one more lane, then avalanches it.
   std::uint64_t Finish() const {
@@ -248,14 +241,13 @@ std::uint64_t WorkloadFingerprint(const Workload& workload) {
     h.Word(static_cast<std::uint64_t>(job.nodes));
     h.Double(job.requested_walltime);
     h.Double(job.io_efficiency);
-    h.Text(job.user);
-    h.Text(job.project);
+    h.Word(static_cast<std::uint64_t>(job.user_id));
+    h.Word(static_cast<std::uint64_t>(job.project_id));
     h.Word(job.phases.size());
     for (const Phase& phase : job.phases) {
       h.Word(static_cast<std::uint64_t>(phase.kind) |
              std::uint64_t{phase.is_flush} << 32);
-      h.Double(phase.compute_seconds);
-      h.Double(phase.io_volume_gb);
+      h.Double(phase.amount);
     }
   }
   return h.Finish();

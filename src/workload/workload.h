@@ -68,9 +68,9 @@ std::vector<std::string> ValidateWorkload(const Workload& workload);
 
 /// Bit-exact fingerprint over every semantic field of every job, in workload
 /// order (ids, times, phases with their flush flags, efficiencies,
-/// provenance — floats hashed by bit pattern, not text). Each field is one
-/// 64-bit word (strings: their length, then 8-byte chunks), hashed in four
-/// independent multiply-rotate lanes that are folded at the end. Feeds the
+/// provenance ids — floats hashed by bit pattern, not text). Each field is
+/// one 64-bit word (a phase is two: kind|flush, then its amount), hashed in
+/// four independent multiply-rotate lanes that are folded at the end. Feeds the
 /// checkpoint config hash: a checkpoint resumed against a workload with any
 /// differing field must be rejected, because the restored engine holds raw
 /// pointers into the job vector and replays the remaining phases from it.

@@ -12,12 +12,16 @@
 #include <cstdint>
 #include <filesystem>
 #include <string>
+#include <string_view>
 
 #include "ckpt/checkpoint.h"
 #include "ckpt/serializer.h"
 #include "core/event_log.h"
 #include "core/simulation.h"
 #include "driver/config_scenario.h"
+#include "metrics/bandwidth.h"
+#include "metrics/fault_stats.h"
+#include "metrics/utilization.h"
 #include "util/config.h"
 
 namespace iosched::ckpt {
@@ -29,25 +33,31 @@ struct SectionPin {
   std::uint32_t crc;
 };
 
-TEST(SectionPin, FaultsIniCutSavesPinnedSectionBytes) {
+/// Runs the pinned two-day cut of configs/faults.ini, saving a checkpoint
+/// every 1500 events into `dir`. A save whose size-only pass disagrees
+/// with its write throws out of the run.
+void RunPinnedCut(const std::filesystem::path& dir) {
   util::Config ini =
       util::Config::FromFile(std::string(IOSCHED_CONFIG_DIR) + "/faults.ini");
   ini.Set("workload.days", "2");
   driver::Scenario scenario = driver::ScenarioFromConfig(ini);
   core::SimulationConfig config = scenario.config;
   config.keep_bandwidth_samples = true;
-  namespace fs = std::filesystem;
-  const fs::path dir = fs::path(testing::TempDir()) / "ckpt_section_pin";
-  fs::remove_all(dir);
+  std::filesystem::remove_all(dir);
   config.checkpoint.directory = dir.string();
   config.checkpoint.every_events = 1500;
   config.checkpoint.keep_last = 0;
   core::EventLog log;
   core::RunSimulation(config, scenario.jobs, &log);
+}
 
+TEST(SectionPin, FaultsIniCutSavesPinnedSectionBytes) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(testing::TempDir()) / "ckpt_section_pin";
+  RunPinnedCut(dir);
   const CheckpointFile file =
       CheckpointFile::Load(CheckpointFileName(dir.string(), 7));
-  EXPECT_EQ(kFormatVersion, 6u);
+  EXPECT_EQ(kFormatVersion, 7u);
   const SectionPin pins[] = {
       {"sim", 1898, 0x6ca60f3cu},
       {"machine", 60, 0x106ab0a9u},
@@ -70,6 +80,52 @@ TEST(SectionPin, FaultsIniCutSavesPinnedSectionBytes) {
     EXPECT_EQ(Crc32(payload), pin.crc)
         << pin.name << " crc 0x" << std::hex << Crc32(payload);
   }
+  fs::remove_all(dir);
+}
+
+/// Restores `component` from the file's `name` section, then re-encodes
+/// it: the size-only pass must count the section's bytes, and EncodeExact
+/// must return them in a buffer with no spare capacity.
+template <class Component, class Fn>
+void ExpectExactReencode(const CheckpointFile& file, const char* name,
+                         Component& component, Fn serialize) {
+  const std::string_view payload = file.Section(name);
+  Reader r(payload, name);
+  serialize(component, r);
+  r.ExpectEnd();
+  Writer counter = Writer::SizeOnly();
+  serialize(component, counter);
+  EXPECT_EQ(counter.size(), payload.size()) << name;
+  const std::string bytes =
+      EncodeExact([&](Writer& w) { serialize(component, w); });
+  EXPECT_EQ(bytes, payload) << name;
+  EXPECT_EQ(bytes.capacity(), bytes.size()) << name;
+}
+
+// The engine's sections are encoded by EncodeExact at every save of the
+// run, which throws if a size-only pass disagrees with its write. The
+// sections that need no links to other state are also re-encoded here,
+// checking the counted size and the exact allocation directly.
+TEST(SectionPin, SizeOnlyPassCountsThePinnedSections) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(testing::TempDir()) / "ckpt_section_sizes";
+  RunPinnedCut(dir);
+  const CheckpointFile file =
+      CheckpointFile::Load(CheckpointFileName(dir.string(), 7));
+  auto serialize = [](auto& component, auto& ar) { component.Serialize(ar); };
+
+  core::EventLog log;
+  ExpectExactReencode(file, "event_log", log, serialize);
+  metrics::FaultStats fault_stats;
+  ExpectExactReencode(file, "fault_stats", fault_stats, serialize);
+  metrics::UtilizationTracker utilization(1);
+  ExpectExactReencode(file, "utilization", utilization, serialize);
+  metrics::BandwidthTracker bandwidth(1.0, /*keep_samples=*/true);
+  ExpectExactReencode(file, "bandwidth", bandwidth, serialize);
+  ExpectExactReencode(file, "bandwidth_samples", bandwidth,
+                      [](auto& component, auto& ar) {
+                        component.SerializeSamples(ar);
+                      });
   fs::remove_all(dir);
 }
 

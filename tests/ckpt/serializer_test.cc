@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -203,6 +204,51 @@ TEST(Serializer, RngStateRoundTrips) {
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(restored.Normal(0.0, 1.0), rng.Normal(0.0, 1.0));
   }
+}
+
+TEST(Serializer, SizeOnlyPassCountsWhatEncodeExactWrites) {
+  std::vector<double> values = {1.5, -2.0, 0.25, 8.0};
+  std::unordered_map<std::int64_t, int> counts = {{9, 1}, {-3, 2}, {4, 3}};
+  util::Rng rng(3, 5);
+  const char raw[] = {1, 2, 3};
+  auto serialize = [&](Writer& w) {
+    w.U8(0xAB);
+    w.Bool(true);
+    w.U32(7u);
+    w.U64(9);
+    w.I64(-42);
+    w.F64(2.5);
+    w.Str("section");
+    w.Bytes(raw, sizeof(raw));
+    w.Seq(values, [&w](double& v) { w.F64(v); });
+    w.SortedMap(counts, [&w](std::int64_t, int& n) { w.I64(n); });
+    w.Rng(rng);
+    w.PendingEvent(11);
+  };
+  Writer plain;
+  serialize(plain);
+  Writer counter = Writer::SizeOnly();
+  serialize(counter);
+  EXPECT_EQ(counter.size(), plain.size());
+  EXPECT_TRUE(counter.buffer().empty());
+
+  const std::string exact = EncodeExact(serialize);
+  EXPECT_EQ(exact, plain.buffer());
+  // Past the small-string buffer, a one-shot reservation is exact.
+  ASSERT_GT(exact.size(), 64u);
+  EXPECT_EQ(exact.capacity(), exact.size());
+}
+
+TEST(Serializer, EncodeExactThrowsWhenThePassesDisagree) {
+  int pass = 0;
+  auto drifting = [&pass](Writer& w) {
+    if (pass++ == 0) {
+      w.U32(1);
+    } else {
+      w.U64(1);
+    }
+  };
+  EXPECT_THROW(EncodeExact(drifting), std::logic_error);
 }
 
 TEST(Serializer, Crc32MatchesKnownVector) {

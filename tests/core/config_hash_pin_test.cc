@@ -28,21 +28,21 @@ driver::Scenario DefaultConfigOverWl1Day() {
 }
 
 TEST(ConfigHashPin, DefaultConfig) {
-  EXPECT_EQ(HashOf(DefaultConfigOverWl1Day()), 0x437a47be777da510ULL);
+  EXPECT_EQ(HashOf(DefaultConfigOverWl1Day()), 0x71c9b33b1f4a4ce2ULL);
 }
 
 TEST(ConfigHashPin, ShippedIniConfigs) {
   EXPECT_EQ(HashOf(driver::ScenarioFromConfigFile(std::string(
                 IOSCHED_CONFIG_DIR) + "/example.ini")),
-            0x22e9fdc8ca85cd90ULL);
+            0xa01fe2f3649a7facULL);
   EXPECT_EQ(HashOf(driver::ScenarioFromConfigFile(std::string(
                 IOSCHED_CONFIG_DIR) + "/faults.ini")),
-            0x1a36795431af22adULL);
+            0xca850b22498e25f9ULL);
 }
 
 TEST(ConfigHashPin, EvaluationMonths) {
-  const std::uint64_t pins[] = {0x24ded83097e6f7c5ULL, 0xd54ca3b5ee0c402fULL,
-                                0x6d8d7310c62f073eULL};
+  const std::uint64_t pins[] = {0xa52a5c2c1155ca98ULL, 0xd8fd97e5f86e4144ULL,
+                                0xd3e6b9e77ccc580aULL};
   for (int month = 1; month <= 3; ++month) {
     EXPECT_EQ(HashOf(driver::MakeEvaluationScenario(month)), pins[month - 1])
         << "WL" << month;
@@ -64,14 +64,14 @@ TEST(ConfigHashPin, ExplicitFaultPlan) {
   plan.job_mtbf_seconds = 7200.0;
   plan.mtbf_seed = 11;
   scenario.config.faults.restart_mode = faults::RestartMode::kRestartFromZero;
-  EXPECT_EQ(HashOf(scenario), 0xab2685fc06640b66ULL);
+  EXPECT_EQ(HashOf(scenario), 0x1afe497e70456248ULL);
 }
 
 TEST(ConfigHashPin, ObsEnabled) {
   driver::Scenario scenario = DefaultConfigOverWl1Day();
   scenario.config.obs.enabled = true;
   scenario.config.obs.sample_dt_seconds = 300.0;
-  EXPECT_EQ(HashOf(scenario), 0xb5d9daf33ea162dbULL);
+  EXPECT_EQ(HashOf(scenario), 0x3a7644fb7ac61b19ULL);
 }
 
 }  // namespace

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "util/rng.h"
@@ -118,6 +122,23 @@ TEST(Summary, EmptyThrows) {
   EXPECT_THROW(s.Quantile(0.5), std::logic_error);
   EXPECT_THROW(s.min(), std::logic_error);
   EXPECT_THROW(s.max(), std::logic_error);
+}
+
+TEST(Summary, MovedSampleMatchesSpanBitForBit) {
+  Rng rng(2024);
+  std::vector<double> sample(10007);
+  for (double& x : sample) x = rng.LogNormal(6.0, 1.5);
+  const Summary copied{std::span<const double>(sample)};
+  std::vector<double> owned = sample;
+  const Summary moved(std::move(owned));
+  ASSERT_EQ(moved.count(), copied.count());
+  auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  EXPECT_EQ(bits(moved.mean()), bits(copied.mean()));
+  EXPECT_EQ(bits(moved.min()), bits(copied.min()));
+  EXPECT_EQ(bits(moved.max()), bits(copied.max()));
+  for (double q : {0.0, 0.1, 0.5, 0.9, 0.99, 1.0}) {
+    EXPECT_EQ(bits(moved.Quantile(q)), bits(copied.Quantile(q))) << q;
+  }
 }
 
 TEST(Summary, QuantileRangeChecked) {

@@ -60,10 +60,10 @@ TEST(ApplyCheckpointTrafficTest, DisabledConfigIsNoOp) {
   ASSERT_EQ(workload[0].phases.size(), original[0].phases.size());
   for (std::size_t i = 0; i < workload[0].phases.size(); ++i) {
     EXPECT_FALSE(workload[0].phases[i].is_flush);
-    EXPECT_DOUBLE_EQ(workload[0].phases[i].compute_seconds,
-                     original[0].phases[i].compute_seconds);
-    EXPECT_DOUBLE_EQ(workload[0].phases[i].io_volume_gb,
-                     original[0].phases[i].io_volume_gb);
+    EXPECT_DOUBLE_EQ(workload[0].phases[i].compute_seconds(),
+                     original[0].phases[i].compute_seconds());
+    EXPECT_DOUBLE_EQ(workload[0].phases[i].io_volume_gb(),
+                     original[0].phases[i].io_volume_gb());
   }
 }
 
@@ -84,7 +84,7 @@ TEST(ApplyCheckpointTrafficTest, InsertsFlushesAtYoungDalyIntervals) {
   EXPECT_EQ(FlushCount(job), expected);
   for (const Phase& phase : job.phases) {
     if (phase.is_flush) {
-      EXPECT_DOUBLE_EQ(phase.io_volume_gb, flush_gb);
+      EXPECT_DOUBLE_EQ(phase.io_volume_gb(), flush_gb);
     }
   }
   // The rewrite conserves work: total compute unchanged, original I/O
@@ -161,7 +161,8 @@ TEST(ApplyCheckpointTrafficTest, DeterministicAcrossRuns) {
     ASSERT_EQ(a[i].phases.size(), b[i].phases.size()) << "job " << a[i].id;
     for (std::size_t p = 0; p < a[i].phases.size(); ++p) {
       EXPECT_EQ(a[i].phases[p].is_flush, b[i].phases[p].is_flush);
-      EXPECT_DOUBLE_EQ(a[i].phases[p].io_volume_gb, b[i].phases[p].io_volume_gb);
+      EXPECT_DOUBLE_EQ(a[i].phases[p].io_volume_gb(),
+                       b[i].phases[p].io_volume_gb());
     }
   }
 }
@@ -180,7 +181,7 @@ TEST(ApplyCheckpointTrafficTest, SkippedJobsDoNotShiftLaterClassDraws) {
                         MakeJob(2, 64, 7200.0, 10.0)};
     ApplyCheckpointTraffic(workload, config, kNodeBandwidth);
     for (const Phase& phase : workload[1].phases) {
-      if (phase.is_flush) return phase.io_volume_gb;
+      if (phase.is_flush) return phase.io_volume_gb();
     }
     return 0.0;
   };

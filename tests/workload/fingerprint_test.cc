@@ -15,7 +15,7 @@ namespace iosched::workload {
 namespace {
 
 /// Three hand-built jobs: a plain compute/I/O job, one with a flush phase,
-/// and one with long provenance strings (more than one 8-byte chunk).
+/// and one with unknown provenance (-1 ids).
 Workload ThreeJobs() {
   Workload jobs(3);
   Job& a = jobs[0];
@@ -24,8 +24,8 @@ Workload ThreeJobs() {
   a.nodes = 512;
   a.requested_walltime = 3600.0;
   a.io_efficiency = 0.5;
-  a.user = "u1";
-  a.project = "p1";
+  a.user_id = 1;
+  a.project_id = 1;
   a.phases = {Phase::Compute(600.0), Phase::Io(40.0), Phase::Compute(300.0)};
 
   Job& b = jobs[1];
@@ -34,8 +34,8 @@ Workload ThreeJobs() {
   b.nodes = 1024;
   b.requested_walltime = 7200.0;
   b.io_efficiency = 0.25;
-  b.user = "u2";
-  b.project = "p1";
+  b.user_id = 2;
+  b.project_id = 1;
   b.phases = {Phase::Compute(900.0), Phase::Flush(80.0),
               Phase::Compute(900.0), Phase::Io(10.0)};
 
@@ -45,8 +45,8 @@ Workload ThreeJobs() {
   c.nodes = 2048;
   c.requested_walltime = 1800.0;
   c.io_efficiency = 1.0;
-  c.user = "climate_modeling_user";
-  c.project = "exascale_project";
+  c.user_id = -1;
+  c.project_id = -1;
   c.phases = {Phase::Compute(1200.0)};
   return jobs;
 }
@@ -59,8 +59,8 @@ std::vector<std::pair<std::string, std::function<void(Job&)>>> FieldEdits() {
       {"nodes", [](Job& j) { j.nodes *= 2; }},
       {"requested_walltime", [](Job& j) { j.requested_walltime += 60.0; }},
       {"io_efficiency", [](Job& j) { j.io_efficiency *= 0.5; }},
-      {"user", [](Job& j) { j.user.push_back('x'); }},
-      {"project", [](Job& j) { j.project[0] = 'q'; }},
+      {"user_id", [](Job& j) { j.user_id += 1; }},
+      {"project_id", [](Job& j) { j.project_id ^= 0x40000000; }},
       {"phase kind",
        [](Job& j) {
          Phase& p = j.phases[0];
@@ -69,8 +69,8 @@ std::vector<std::pair<std::string, std::function<void(Job&)>>> FieldEdits() {
        }},
       {"is_flush",
        [](Job& j) { j.phases.back().is_flush = !j.phases.back().is_flush; }},
-      {"compute_seconds", [](Job& j) { j.phases[0].compute_seconds += 1.0; }},
-      {"io_volume_gb", [](Job& j) { j.phases.back().io_volume_gb += 1.0; }},
+      {"first amount", [](Job& j) { j.phases[0].amount += 1.0; }},
+      {"last amount", [](Job& j) { j.phases.back().amount += 1.0; }},
       {"phase count", [](Job& j) { j.phases.push_back(Phase::Io(0.0)); }},
   };
 }
@@ -88,49 +88,40 @@ TEST(WorkloadFingerprint, EveryFieldOfEveryJobChangesTheValue) {
   }
 }
 
-TEST(WorkloadFingerprint, EveryByteOfTheProvenanceStringsCounts) {
+TEST(WorkloadFingerprint, EveryBitOfTheProvenanceIdsCounts) {
   const Workload base = ThreeJobs();
   const std::uint64_t reference = WorkloadFingerprint(base);
-  for (std::string Job::*text : {&Job::user, &Job::project}) {
-    const std::string& original = base[2].*text;
-    ASSERT_GT(original.size(), 8u);
-    for (std::size_t at = 0; at < original.size(); ++at) {
+  for (std::int32_t Job::*id : {&Job::user_id, &Job::project_id}) {
+    for (int bit = 0; bit < 32; ++bit) {
       Workload changed = base;
-      (changed[2].*text)[at] ^= 0x20;
-      EXPECT_NE(WorkloadFingerprint(changed), reference) << "byte " << at;
+      changed[0].*id = static_cast<std::int32_t>(
+          static_cast<std::uint32_t>(changed[0].*id) ^ (1u << bit));
+      EXPECT_NE(WorkloadFingerprint(changed), reference) << "bit " << bit;
     }
   }
 }
 
-/// The fingerprint of ThreeJobs() with job 0's `*text` replaced.
-std::uint64_t WithText(std::string Job::*text, std::string value) {
+/// The fingerprint of ThreeJobs() with job 0's `*id` replaced.
+std::uint64_t WithId(std::int32_t Job::*id, std::int32_t value) {
   Workload jobs = ThreeJobs();
-  jobs[0].*text = std::move(value);
+  jobs[0].*id = value;
   return WorkloadFingerprint(jobs);
 }
 
-TEST(WorkloadFingerprint, EmptyTextDiffersFromOneCharacter) {
-  for (std::string Job::*text : {&Job::user, &Job::project}) {
-    EXPECT_NE(WithText(text, ""), WithText(text, "u"));
+TEST(WorkloadFingerprint, UnknownIdDiffersFromZero) {
+  for (std::int32_t Job::*id : {&Job::user_id, &Job::project_id}) {
+    EXPECT_NE(WithId(id, -1), WithId(id, 0));
   }
 }
 
-TEST(WorkloadFingerprint, TrailingNulDiffersFromChunkPadding) {
-  // "a" and "a\0" fill the same zero-padded chunk; the length word parts
-  // them.
-  for (std::string Job::*text : {&Job::user, &Job::project}) {
-    EXPECT_NE(WithText(text, "a"), WithText(text, std::string("a\0", 2)));
-  }
-}
-
-TEST(WorkloadFingerprint, TextBoundaryBetweenUserAndProjectCounts) {
-  auto with_text = [](std::string user, std::string project) {
+TEST(WorkloadFingerprint, UserAndProjectIdsAreNotInterchangeable) {
+  auto with_ids = [](std::int32_t user, std::int32_t project) {
     Workload jobs = ThreeJobs();
-    jobs[0].user = std::move(user);
-    jobs[0].project = std::move(project);
+    jobs[0].user_id = user;
+    jobs[0].project_id = project;
     return WorkloadFingerprint(jobs);
   };
-  EXPECT_NE(with_text("ab", "c"), with_text("a", "bc"));
+  EXPECT_NE(with_ids(5, 9), with_ids(9, 5));
 }
 
 TEST(WorkloadFingerprint, JobOrderCounts) {
@@ -156,7 +147,7 @@ TEST(WorkloadFingerprint, EqualWorkloadsAgree) {
 // Checkpoints carry this value inside their config hash, so a change to it
 // must come with a checkpoint format bump.
 TEST(WorkloadFingerprint, PinnedForAHandBuiltWorkload) {
-  EXPECT_EQ(WorkloadFingerprint(ThreeJobs()), 0x7203aba2a9f26de3ULL);
+  EXPECT_EQ(WorkloadFingerprint(ThreeJobs()), 0x6a1e5e96f08fb9f9ULL);
 }
 
 }  // namespace

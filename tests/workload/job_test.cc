@@ -23,6 +23,34 @@ TEST(Job, Totals) {
   EXPECT_EQ(j.IoPhaseCount(), 2);
 }
 
+TEST(Phase, AccessorsReadOnlyTheirKind) {
+  const Phase compute = Phase::Compute(600.0);
+  EXPECT_DOUBLE_EQ(compute.compute_seconds(), 600.0);
+  EXPECT_EQ(compute.io_volume_gb(), 0.0);
+  const Phase io = Phase::Io(64.0);
+  EXPECT_EQ(io.compute_seconds(), 0.0);
+  EXPECT_DOUBLE_EQ(io.io_volume_gb(), 64.0);
+  EXPECT_FALSE(io.is_flush);
+  const Phase flush = Phase::Flush(8.0);
+  EXPECT_EQ(flush.kind, PhaseKind::kIo);
+  EXPECT_TRUE(flush.is_flush);
+  EXPECT_EQ(flush.compute_seconds(), 0.0);
+  EXPECT_DOUBLE_EQ(flush.io_volume_gb(), 8.0);
+}
+
+TEST(Job, ScaleIoVolumeScalesOnlyIo) {
+  Job j = MakeJob();
+  j.phases.push_back(Phase::Flush(16.0));
+  j.ScaleIoVolume(0.25);
+  EXPECT_DOUBLE_EQ(j.phases[0].compute_seconds(), 600.0);
+  EXPECT_DOUBLE_EQ(j.phases[1].io_volume_gb(), 16.0);
+  EXPECT_DOUBLE_EQ(j.phases[2].compute_seconds(), 600.0);
+  EXPECT_DOUBLE_EQ(j.phases[3].io_volume_gb(), 16.0);
+  EXPECT_DOUBLE_EQ(j.phases[4].io_volume_gb(), 4.0);
+  EXPECT_TRUE(j.phases[4].is_flush);
+  EXPECT_DOUBLE_EQ(j.TotalComputeSeconds(), 1200.0);
+}
+
 TEST(Job, UncongestedTimes) {
   Job j = MakeJob();
   const double b = 0.03125;  // GB/s per node -> full rate 32 GB/s
@@ -63,11 +91,11 @@ TEST(Job, ValidateRejectsBadFields) {
   EXPECT_NE(j.Validate(), "");
 
   j = MakeJob();
-  j.phases[1].io_volume_gb = -5;
+  j.phases[1].amount = -5;
   EXPECT_NE(j.Validate(), "");
 
   j = MakeJob();
-  j.phases[0].compute_seconds = -5;
+  j.phases[0].amount = -5;
   EXPECT_NE(j.Validate(), "");
 }
 
@@ -86,9 +114,9 @@ TEST(MakeUniformPhasesTest, EvenSplit) {
   ASSERT_EQ(phases.size(), 10u);
   for (std::size_t i = 0; i < phases.size(); i += 2) {
     EXPECT_EQ(phases[i].kind, PhaseKind::kCompute);
-    EXPECT_DOUBLE_EQ(phases[i].compute_seconds, 200.0);
+    EXPECT_DOUBLE_EQ(phases[i].compute_seconds(), 200.0);
     EXPECT_EQ(phases[i + 1].kind, PhaseKind::kIo);
-    EXPECT_DOUBLE_EQ(phases[i + 1].io_volume_gb, 10.0);
+    EXPECT_DOUBLE_EQ(phases[i + 1].io_volume_gb(), 10.0);
   }
 }
 
@@ -96,7 +124,7 @@ TEST(MakeUniformPhasesTest, NoIoBecomesPureCompute) {
   auto phases = MakeUniformPhases(500.0, 0.0, 3);
   ASSERT_EQ(phases.size(), 1u);
   EXPECT_EQ(phases[0].kind, PhaseKind::kCompute);
-  EXPECT_DOUBLE_EQ(phases[0].compute_seconds, 500.0);
+  EXPECT_DOUBLE_EQ(phases[0].compute_seconds(), 500.0);
 
   auto phases2 = MakeUniformPhases(500.0, 10.0, 0);
   ASSERT_EQ(phases2.size(), 1u);
@@ -113,8 +141,8 @@ TEST(MakeUniformPhasesTest, TotalsPreserved) {
     double compute = 0;
     double io = 0;
     for (const Phase& p : phases) {
-      if (p.kind == PhaseKind::kCompute) compute += p.compute_seconds;
-      else io += p.io_volume_gb;
+      compute += p.compute_seconds();
+      io += p.io_volume_gb();
     }
     EXPECT_NEAR(compute, 977.5, 1e-9);
     EXPECT_NEAR(io, 123.25, 1e-9);

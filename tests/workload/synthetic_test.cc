@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
 
@@ -145,13 +146,16 @@ TEST(Synthetic, SequentialIdsFromFirstId) {
 
 TEST(Synthetic, UsersAndProjectsAssigned) {
   Workload w = GenerateWorkload(QuickConfig(), 37);
-  std::set<std::string> users;
-  std::set<std::string> projects;
+  const SyntheticConfig cfg = QuickConfig();
+  std::set<std::int32_t> users;
+  std::set<std::int32_t> projects;
   for (const Job& j : w) {
-    EXPECT_FALSE(j.user.empty());
-    EXPECT_FALSE(j.project.empty());
-    users.insert(j.user);
-    projects.insert(j.project);
+    EXPECT_GE(j.user_id, 0);
+    EXPECT_LT(j.user_id, cfg.user_count);
+    EXPECT_GE(j.project_id, 0);
+    EXPECT_LT(j.project_id, cfg.project_count);
+    users.insert(j.user_id);
+    projects.insert(j.project_id);
   }
   EXPECT_GT(users.size(), 10u);
   EXPECT_GT(projects.size(), 5u);
@@ -166,10 +170,10 @@ TEST(Synthetic, ProjectsHaveConsistentIoBands) {
   cfg.duration_days = 6.0;
   cfg.max_io_volume_gb = 0.0;
   Workload w = GenerateWorkload(cfg, 41);
-  std::map<std::string, std::pair<double, double>> range;
+  std::map<std::int32_t, std::pair<double, double>> range;
   for (const Job& j : w) {
     double f = j.IoFraction(cfg.node_bandwidth_gbps);
-    auto [it, inserted] = range.try_emplace(j.project, f, f);
+    auto [it, inserted] = range.try_emplace(j.project_id, f, f);
     it->second.first = std::min(it->second.first, f);
     it->second.second = std::max(it->second.second, f);
   }

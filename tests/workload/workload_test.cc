@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+
 namespace iosched::workload {
 namespace {
 
@@ -18,6 +21,7 @@ SwfRecord MakeRecord(JobId id, double submit, double runtime, int nodes,
   r.requested_time = walltime;
   r.status = 1;
   r.user_id = 3;
+  r.group_id = 11;
   return r;
 }
 
@@ -48,7 +52,27 @@ TEST(PairTraces, PreservesProvenance) {
   SwfTrace jobs;
   jobs.records = {MakeRecord(1, 0, 3600, 1024, 7200)};
   Workload w = PairTraces(jobs, {}, Opts());
-  EXPECT_EQ(w[0].user, "u3");
+  EXPECT_EQ(w[0].user_id, 3);
+  EXPECT_EQ(w[0].project_id, 11);
+
+  // SWF's -1 ("missing") is an unknown id.
+  jobs.records[0].user_id = -1;
+  jobs.records[0].group_id = -1;
+  w = PairTraces(jobs, {}, Opts());
+  EXPECT_EQ(w[0].user_id, -1);
+  EXPECT_EQ(w[0].project_id, -1);
+}
+
+TEST(PairTraces, RejectsIdsOutsideInt32) {
+  SwfTrace jobs;
+  jobs.records = {MakeRecord(1, 0, 3600, 1024, 7200)};
+  jobs.records[0].user_id = std::int64_t{1} << 31;
+  EXPECT_THROW(PairTraces(jobs, {}, Opts()), std::runtime_error);
+  jobs.records[0].user_id = 3;
+  jobs.records[0].group_id = -(std::int64_t{1} << 31) - 1;
+  EXPECT_THROW(PairTraces(jobs, {}, Opts()), std::runtime_error);
+  jobs.records[0].group_id = (std::int64_t{1} << 31) - 1;
+  EXPECT_EQ(PairTraces(jobs, {}, Opts())[0].project_id, 2147483647);
 }
 
 TEST(PairTraces, ClampsInconsistentVolume) {
@@ -159,7 +183,8 @@ TEST(RoundTrip, WorkloadToTracesAndBack) {
     j.nodes = 512 * i;
     j.requested_walltime = 5000;
     j.phases = MakeUniformPhases(3000, i % 2 == 0 ? 64.0 : 0.0, i % 2 == 0 ? 4 : 0);
-    j.user = "u3";
+    j.user_id = 3 + i;
+    j.project_id = i % 2 == 0 ? 20 + i : -1;
     original.push_back(j);
   }
   SwfTrace swf = ToSwf(original, kNodeBw);
@@ -174,6 +199,8 @@ TEST(RoundTrip, WorkloadToTracesAndBack) {
     EXPECT_NEAR(rebuilt[i].TotalIoVolumeGb(), original[i].TotalIoVolumeGb(),
                 1e-9);
     EXPECT_EQ(rebuilt[i].IoPhaseCount(), original[i].IoPhaseCount());
+    EXPECT_EQ(rebuilt[i].user_id, original[i].user_id);
+    EXPECT_EQ(rebuilt[i].project_id, original[i].project_id);
   }
 }
 

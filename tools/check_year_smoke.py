@@ -2,15 +2,16 @@
 """Year-replay smoke gate for CI.
 
 Compares the YEAR_SMOKE replay entry of a freshly generated BENCH_core.json
-against the committed baseline:
+against the committed baseline: the metric-record digest must match
+bit-for-bit (the year-scale workload exercises deep diurnal queue swings
+the evaluation months don't, so a digest drift here can pass the monthly
+replays).
 
-  * the metric-record digest must match bit-for-bit (the year-scale
-    workload exercises deep diurnal queue swings the evaluation months
-    don't, so a digest drift here can pass the monthly replays); and
-  * the wall-clock must not regress by more than --max-slowdown (default
-    1.2, i.e. a >20% slowdown fails).
+The wall time is printed but not gated: the committed baseline's time was
+recorded on another host, so a bound on it measures the host, not the
+change. Timing is compared on one host by tools/ab_bench.py.
 
-Usage: check_year_smoke.py CURRENT.json BASELINE.json [--max-slowdown=X]
+Usage: check_year_smoke.py CURRENT.json BASELINE.json
 """
 
 import json
@@ -27,43 +28,30 @@ def find_replay(doc, path):
 
 
 def main(argv):
-    args = [a for a in argv[1:] if not a.startswith("--")]
-    max_slowdown = 1.2
-    for a in argv[1:]:
-        if a.startswith("--max-slowdown="):
-            max_slowdown = float(a.split("=", 1)[1])
-    if len(args) != 2:
+    if len(argv) != 3:
         raise SystemExit(__doc__)
-    current_path, baseline_path = args
+    current_path, baseline_path = argv[1:]
     with open(current_path) as f:
         current = find_replay(json.load(f), current_path)
     with open(baseline_path) as f:
         baseline = find_replay(json.load(f), baseline_path)
 
-    failures = []
-    if current.get("digest") != baseline.get("digest"):
-        failures.append(
-            f"digest changed: {baseline.get('digest')} -> "
-            f"{current.get('digest')} (schedule results differ)"
-        )
-    base_s = float(baseline.get("seconds", 0.0))
-    cur_s = float(current.get("seconds", 0.0))
-    if base_s > 0 and cur_s > base_s * max_slowdown:
-        failures.append(
-            f"wall-clock regression: {base_s:.3f}s -> {cur_s:.3f}s "
-            f"(>{(max_slowdown - 1) * 100:.0f}% slower)"
-        )
-
-    status = "FAIL" if failures else "ok"
+    identical = current.get("digest") == baseline.get("digest")
     print(
         f"{ENTRY}: jobs={current.get('jobs')} "
-        f"seconds={cur_s:.3f} (baseline {base_s:.3f}) "
-        f"digest={'identical' if current.get('digest') == baseline.get('digest') else 'CHANGED'} "
-        f"{status}"
+        f"seconds={float(current.get('seconds', 0.0)):.3f} "
+        f"(baseline {float(baseline.get('seconds', 0.0)):.3f}, not gated) "
+        f"digest={'identical' if identical else 'CHANGED'} "
+        f"{'ok' if identical else 'FAIL'}"
     )
-    for f in failures:
-        print(f"  {f}", file=sys.stderr)
-    return 1 if failures else 0
+    if not identical:
+        print(
+            f"  digest changed: {baseline.get('digest')} -> "
+            f"{current.get('digest')} (schedule results differ)",
+            file=sys.stderr,
+        )
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
